@@ -42,10 +42,7 @@ class OnOffParams:
     """Transition rates of the activity chain.
 
     ``lam`` is the intensity of leaving ON, ``mu`` the intensity of leaving
-    OFF.  The complementary per-step quantities ``stay_on = 1 - lam`` and
-    ``stay_off = 1 - mu`` are exposed read-only; they are meaningful as
-    probabilities only when the corresponding rate is at most 1, i.e. when a
-    unit time step is a sensible discretisation of the chain.
+    OFF.
     """
 
     lam: float
@@ -55,14 +52,6 @@ class OnOffParams:
         for name, value in (("lam", self.lam), ("mu", self.mu)):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    @property
-    def stay_on(self) -> float:
-        return 1.0 - self.lam
-
-    @property
-    def stay_off(self) -> float:
-        return 1.0 - self.mu
 
     def leaving_rate(self, state: NodeState) -> float:
         """Rate at which the chain leaves ``state`` (the negated generator diagonal)."""
@@ -166,10 +155,6 @@ def sample_trajectory(
 def total_on_time(traj: Trajectory) -> float:
     """Total duration spent ON; in ``[0, horizon]``."""
     return sum(seg.duration for seg in traj.segments if seg.state is NodeState.ON)
-
-
-def total_off_time(traj: Trajectory) -> float:
-    return sum(seg.duration for seg in traj.segments if seg.state is NodeState.OFF)
 
 
 def monte_carlo_on_times(

@@ -11,11 +11,6 @@ discharging against an activity trajectory plateaus during OFF segments and
 rejoins the continuous curve at equal cumulative active time, so any two
 trajectories with the same total ON time end at the identical state of
 discharge.
-
-Lead-acid packs lose a constant parasitic gassing current; when a raw current
-is supplied instead of the exponential profile, the effective discharge
-current is ``I - I_gas`` floored at zero.  The exponential profile above is
-already the simplified presentation and bypasses the gassing term.
 """
 
 from __future__ import annotations
@@ -27,31 +22,6 @@ from scipy.integrate import quad
 
 from .activity import NodeState, Trajectory, total_on_time
 from .occupancy import OccupancySpec, mean_on_time, on_time_density
-
-
-@dataclass(frozen=True)
-class GassingParams:
-    """Constant gassing-current inputs: ``I_gas = k_gas * exp(c_u*(V_N + T_N))``.
-
-    A single coefficient ``c_u`` multiplies both the nominal voltage and the
-    nominal temperature; the two would normally carry distinct coefficients,
-    but the constant-argument form makes ``I_gas`` a plain number either way.
-    """
-
-    k_gas: float
-    voltage_coeff: float
-    nominal_voltage: float
-    nominal_temp: float
-
-    def __post_init__(self) -> None:
-        if self.k_gas < 0.0:
-            raise ValueError(f"k_gas must be >= 0, got {self.k_gas!r}")
-
-    @property
-    def gassing_current(self) -> float:
-        return self.k_gas * math.exp(
-            self.voltage_coeff * self.nominal_voltage + self.voltage_coeff * self.nominal_temp
-        )
 
 
 @dataclass(frozen=True)
@@ -67,7 +37,6 @@ class SodModel:
     tau: float
     capacity: float
     initial_sod: float = 0.0
-    gassing: GassingParams | None = None
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -84,11 +53,6 @@ class SodModel:
     def asymptotic_sod(self) -> float:
         """State of discharge approached as active time grows without bound."""
         return min(1.0, self.initial_sod + self.peak_current * self.tau / self.capacity)
-
-    def effective_current(self, raw_current: float) -> float:
-        """Raw current minus the gassing loss, floored at zero."""
-        i_gas = self.gassing.gassing_current if self.gassing is not None else 0.0
-        return max(raw_current - i_gas, 0.0)
 
 
 @dataclass(frozen=True)

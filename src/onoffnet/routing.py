@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .activity import OnOffParams
-from .battery import BatteryState
-
 
 @dataclass(frozen=True)
 class HelloCodec:
@@ -124,41 +121,41 @@ def update_energy_table(
     return EnergyTable(records)
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    node_id: str
-    battery: BatteryState
-    activity: OnOffParams
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
-    """Alive nodes and the undirected links between them."""
+    """Alive nodes and the undirected links between them.
 
-    nodes: dict[str, NodeRecord]
+    The sorted neighbour list of every node is built once, at construction.
+    """
+
+    nodes: frozenset[str]
     links: frozenset[frozenset[str]]
+    _adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        adjacency: dict[str, list[str]] = {nid: [] for nid in self.nodes}
         for link in self.links:
             if len(link) != 2:
                 raise ValueError(f"link must join two distinct nodes, got {set(link)!r}")
-            missing = link - self.nodes.keys()
+            missing = link - self.nodes
             if missing:
                 raise ValueError(f"link references unknown node(s) {sorted(missing)!r}")
+            a, b = link
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "_adjacency", {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()})
 
     def neighbors(self, node_id: str) -> list[str]:
         """Adjacent node ids in sorted order."""
         if node_id not in self.nodes:
             raise ValueError(f"unknown node {node_id!r}")
-        return sorted(other for link in self.links for other in link if node_id in link and other != node_id)
+        return list(self._adjacency[node_id])
 
     def drop_node(self, node_id: str) -> "NetworkGraph":
         """Graph with the node and all its links removed (e.g. on battery death)."""
         if node_id not in self.nodes:
             raise ValueError(f"unknown node {node_id!r}")
-        nodes = {nid: rec for nid, rec in self.nodes.items() if nid != node_id}
-        links = frozenset(link for link in self.links if node_id not in link)
-        return NetworkGraph(nodes, links)
+        return NetworkGraph(self.nodes - {node_id}, frozenset(link for link in self.links if node_id not in link))
 
 
 @dataclass(frozen=True)
@@ -193,11 +190,9 @@ def select_route(
             raise ValueError(f"{name} {nid!r} is not in the graph")
     if src == dst:
         raise ValueError("src and dst must differ")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
 
-    known = {nid: tables[nid].fresh(now, staleness) if nid in tables else {} for nid in graph.nodes}
-    adjacency = {nid: graph.neighbors(nid) for nid in graph.nodes}
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
     visited: set[str] = set()
     while heap:
@@ -208,13 +203,14 @@ def select_route(
         visited.add(node)
         if node == dst:
             return RouteResult(path, cost)
-        for nxt in adjacency[node]:
+        known = tables[node].fresh(now, staleness) if node in tables else {}
+        for nxt in graph.neighbors(node):
             if nxt in visited:
                 continue
             if nxt == dst:
                 edge = 1.0
             else:
-                energy = known[node].get(nxt)
+                energy = known.get(nxt)
                 if energy is None or energy <= exhaust_threshold:
                     continue
                 edge = 1.0 + beta * (1.0 - energy)

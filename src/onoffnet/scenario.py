@@ -29,7 +29,6 @@ from .routing import (
     EnergyTable,
     HelloCodec,
     NetworkGraph,
-    NodeRecord,
     encode_delay,
     encode_slot,
     select_route,
@@ -142,8 +141,8 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         errors.append(f"scenario.hello_period: must be finite and > 0, got {hello_period}")
     if staleness is not None and not (math.isfinite(staleness) and staleness >= 0):
         errors.append(f"scenario.staleness: must be finite and >= 0, got {staleness}")
-    if beta is not None and beta < 0:
-        errors.append(f"scenario.beta: must be >= 0, got {beta}")
+    if beta is not None and not (math.isfinite(beta) and beta >= 0):
+        errors.append(f"scenario.beta: must be finite and >= 0, got {beta}")
     if exhaust_threshold is not None and not 0 <= exhaust_threshold < 1:
         errors.append(f"scenario.exhaust_threshold: must lie in [0, 1), got {exhaust_threshold}")
 
@@ -259,7 +258,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     battery = {nid: BatteryState.fresh(config.nodes[nid].model) for nid in node_ids}
     chain_state = {nid: NodeState.ON for nid in node_ids}
     tables: dict[str, EnergyTable] = {nid: EnergyTable() for nid in node_ids}
-    alive = set(node_ids)
+    graph = NetworkGraph(frozenset(node_ids), config.links)
 
     events: list[str] = []
 
@@ -275,10 +274,11 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     error_count = 0
 
     def check_deaths(now: float) -> None:
-        for nid in sorted(alive):
+        nonlocal graph
+        for nid in sorted(graph.nodes):
             state = battery[nid]
             if state.residual_energy <= config.exhaust_threshold:
-                alive.discard(nid)
+                graph = graph.drop_node(nid)
                 log(now, "death", nid, f"sod={state.sod!r};active_time={state.active_time!r}")
 
     check_deaths(0.0)
@@ -288,7 +288,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         now = round_index * config.hello_period
 
         # Activity and discharge over the elapsed period.
-        for nid in sorted(alive):
+        for nid in sorted(graph.nodes):
             traj = sample_trajectory(
                 config.nodes[nid].activity,
                 chain_state[nid],
@@ -302,7 +302,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         # HELLO beacons, slotted by residual energy.
         slot_of: dict[str, int] = {}
         delay_of: dict[str, float] = {}
-        for nid in sorted(alive):
+        for nid in sorted(graph.nodes):
             residual = battery[nid].residual_energy
             slot_of[nid] = encode_slot(config.codec, residual)
             delay_of[nid] = encode_delay(config.codec, residual)
@@ -310,14 +310,9 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             log(now, "hello", nid, f"slot={slot_of[nid]};delay={delay_of[nid]!r};residual={residual!r}")
 
         # Per-receiver reception; same-slot beacons cancel each other out.
-        neighbors_of = {
-            nid: sorted(other for link in config.links for other in link if nid in link and other != nid)
-            for nid in node_ids
-        }
-        for receiver in sorted(alive):
-            senders = [nid for nid in neighbors_of[receiver] if nid in alive]
+        for receiver in sorted(graph.nodes):
             by_slot: dict[int, list[str]] = {}
-            for sender in senders:
+            for sender in graph.neighbors(receiver):
                 by_slot.setdefault(slot_of[sender], []).append(sender)
             for slot in sorted(by_slot):
                 group = by_slot[slot]
@@ -334,37 +329,32 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 log(now, "table", receiver, f"neighbor={sender};energy={energy!r}")
 
         # Table accuracy bookkeeping against the true residuals.
-        for receiver in sorted(alive):
+        for receiver in sorted(graph.nodes):
             for neighbor, energy in sorted(tables[receiver].fresh(now, config.staleness).items()):
                 error_sum += abs(energy - battery[neighbor].residual_energy)
                 error_count += 1
 
         # Route queries answered from the current tables.
-        if config.queries:
-            graph = NetworkGraph(
-                {nid: NodeRecord(nid, battery[nid], config.nodes[nid].activity) for nid in alive},
-                frozenset(link for link in config.links if link <= alive),
+        for src, dst in config.queries:
+            route_queries += 1
+            if src not in graph.nodes or dst not in graph.nodes:
+                log(now, "route", src, f"dst={dst};path=none")
+                continue
+            result = select_route(
+                graph,
+                tables,
+                src,
+                dst,
+                config.beta,
+                config.exhaust_threshold,
+                now=now,
+                staleness=config.staleness,
             )
-            for src, dst in config.queries:
-                route_queries += 1
-                if src not in alive or dst not in alive:
-                    log(now, "route", src, f"dst={dst};path=none")
-                    continue
-                result = select_route(
-                    graph,
-                    tables,
-                    src,
-                    dst,
-                    config.beta,
-                    config.exhaust_threshold,
-                    now=now,
-                    staleness=config.staleness,
-                )
-                if result is None:
-                    log(now, "route", src, f"dst={dst};path=none")
-                else:
-                    delivered_routes += 1
-                    log(now, "route", src, f"dst={dst};path={'>'.join(result.path)};cost={result.cost!r}")
+            if result is None:
+                log(now, "route", src, f"dst={dst};path=none")
+            else:
+                delivered_routes += 1
+                log(now, "route", src, f"dst={dst};path={'>'.join(result.path)};cost={result.cost!r}")
 
     metrics: dict[str, float] = {
         "rounds": float(n_rounds),
@@ -373,7 +363,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         "table_updates": float(table_updates),
         "route_queries": float(route_queries),
         "delivered_routes": float(delivered_routes),
-        "dead_nodes": float(len(node_ids) - len(alive)),
+        "dead_nodes": float(len(node_ids) - len(graph.nodes)),
         "mean_table_error": error_sum / error_count if error_count else math.nan,
     }
     for nid in node_ids:

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from onoffnet.activity import NodeState, OnOffParams, Segment, Trajectory, sample_trajectory, total_on_time
 from onoffnet.battery import (
     BatteryState,
-    GassingParams,
     SodModel,
     active_time_at,
     advance,
@@ -32,15 +31,6 @@ def test_model_validation():
         SodModel(1.0, -2.0, 1.0)
     with pytest.raises(ValueError):
         SodModel(1.0, 1.0, 1.0, initial_sod=1.0)
-
-
-def test_gassing_current_constant():
-    gassing = GassingParams(k_gas=0.5, voltage_coeff=0.1, nominal_voltage=12.0, nominal_temp=25.0)
-    assert gassing.gassing_current == pytest.approx(0.5 * math.exp(0.1 * (12.0 + 25.0)), rel=1e-15)
-    model = SodModel(1.0, 2.0, 4.0, gassing=gassing)
-    assert model.effective_current(gassing.gassing_current + 1.0) == pytest.approx(1.0)
-    assert model.effective_current(0.5 * gassing.gassing_current) == 0.0  # floored
-    assert MODEL.effective_current(3.0) == 3.0  # no gassing configured
 
 
 # --- discharge current -----------------------------------------------------

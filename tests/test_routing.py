@@ -13,13 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from onoffnet.activity import OnOffParams
-from onoffnet.battery import BatteryState, SodModel
 from onoffnet.routing import (
     EnergyTable,
     HelloCodec,
     NetworkGraph,
-    NodeRecord,
     TableEntry,
     collision_probability,
     decode_energy,
@@ -33,11 +30,7 @@ CODEC = HelloCodec(d_min=0.0, d_max=1.0, slots=11)
 
 
 def make_graph(ids, links):
-    model = SodModel(1.0, 1.0, 1.0)
-    nodes = {
-        nid: NodeRecord(nid, BatteryState.fresh(model), OnOffParams(1.0, 1.0)) for nid in ids
-    }
-    return NetworkGraph(nodes, frozenset(frozenset(pair) for pair in links))
+    return NetworkGraph(frozenset(ids), frozenset(frozenset(pair) for pair in links))
 
 
 def tables_from_energies(graph: NetworkGraph, energies: dict[str, float]):
@@ -217,7 +210,19 @@ def test_graph_drop_node():
     reduced = graph.drop_node("B")
     assert set(reduced.nodes) == {"A", "C"}
     assert reduced.links == frozenset()
+    assert reduced.neighbors("A") == []
+    with pytest.raises(ValueError):
+        reduced.neighbors("B")
     assert graph.neighbors("A") == ["B"]  # original untouched
+    assert graph.neighbors("B") == ["A", "C"]
+
+
+def test_graph_neighbors_sorted_whatever_the_link_order():
+    graph = make_graph("ABCDE", [("C", "E"), ("C", "A"), ("D", "C"), ("B", "C")])
+    assert graph.neighbors("C") == ["A", "B", "D", "E"]
+    assert graph.neighbors("E") == ["C"]
+    with pytest.raises(ValueError):
+        graph.neighbors("Z")
 
 
 # --- route selection -----------------------------------------------------------------
@@ -280,8 +285,9 @@ def test_select_route_rejects_bad_endpoints():
         select_route(graph, tables, "A", "Z", beta=0.0, exhaust_threshold=0.0)
     with pytest.raises(ValueError):
         select_route(graph, tables, "A", "A", beta=0.0, exhaust_threshold=0.0)
-    with pytest.raises(ValueError):
-        select_route(graph, tables, "A", "B", beta=-1.0, exhaust_threshold=0.0)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            select_route(graph, tables, "A", "B", beta=beta, exhaust_threshold=0.0)
 
 
 def test_cost_equals_sum_of_edge_costs():

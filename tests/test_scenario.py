@@ -1,6 +1,7 @@
 """Tests for scenario config parsing and the HELLO-round event loop."""
 
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -99,6 +100,14 @@ pairs = A-Z A-A
         assert needle in joined
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_config_rejects_non_finite_beta(tmp_path, beta):
+    path = write_config(tmp_path, PAIR_TEMPLATE.replace("beta = 1.0", f"beta = {beta}"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(path)
+    assert [e for e in excinfo.value.errors if e.startswith("scenario.beta:")]
+
+
 def test_config_rejects_unknown_section(tmp_path):
     path = write_config(tmp_path, PAIR_TEMPLATE + "\n[extras]\nfoo = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
@@ -185,6 +194,56 @@ routes = A:C
     assert deaths[0].startswith("4.0,death,B,")
     assert result.metrics["dead_nodes"] == 1.0
     assert result.metrics["delivered_routes"] == 1.0
+
+
+# Output lock: relay B dies in round 4, which cuts A off from F; C and D beacon
+# in the same slot at E every round; A reaches E through C throughout.
+LOCK_CONFIG = """
+[scenario]
+horizon = 12
+hello_period = 2
+staleness = 5
+beta = 1.5
+exhaust_threshold = 0.1
+seeds = 11
+
+[codec]
+d_min = 0.0
+d_max = 1.0
+slots = 16
+
+[nodes]
+A = k=0.001 tau=100 capacity=10 f_init=0.1 lambda=0.5 mu=1.0
+B = k=0.3 tau=5 capacity=1 f_init=0.0 lambda=0.5 mu=0.5
+C = k=0.001 tau=100 capacity=10 f_init=0.2 lambda=0.0 mu=1.0
+D = k=0.001 tau=100 capacity=10 f_init=0.2 lambda=0.0 mu=1.0
+E = k=0.001 tau=100 capacity=10 f_init=0.3 lambda=1.0 mu=1.0
+F = k=0.001 tau=100 capacity=10 f_init=0.0 lambda=1.0 mu=2.0
+
+[links]
+pairs = A-B B-E A-C C-E D-E B-F
+
+[queries]
+routes = A:F A:E
+"""
+
+
+def test_output_lock(tmp_path):
+    # Pins the exact bytes of one run; a refactor of the event loop or of
+    # route selection must leave both digests unchanged.
+    result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
+    events = "\n".join(result.events)
+    assert "8.0,death,B," in events
+    assert ",collision,E,slot=12;senders=C|D" in events
+    assert "8.0,route,A,dst=F;path=none" in events
+    assert "2.0,route,A,dst=F;path=A>B>F;cost=2.6" in events
+    metrics = "\n".join(f"{key},{value!r}" for key, value in result.metrics.items())
+    assert hashlib.sha256(events.encode()).hexdigest() == (
+        "cd7fe11cc3f8d3d3caadedf93dc784715c07dadc53243b1b1798732035733750"
+    )
+    assert hashlib.sha256(metrics.encode()).hexdigest() == (
+        "2ff2cbd7ec1821050baf9ededb423bcaebfa68ed67cffa595e2bbdf0cb13238c"
+    )
 
 
 def test_period_longer_than_horizon_yields_nothing(tmp_path):
