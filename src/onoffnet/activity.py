@@ -10,7 +10,11 @@ window is the random quantity whose law :mod:`onoffnet.occupancy` describes.
 Sampling draws from numpy's PCG64 generator with the seed passed explicitly,
 so every trajectory is a pure function of its arguments.  ``GENERATOR_ID`` is
 recorded in output file headers so archived runs name the bit stream they
-were produced with.
+were produced with.  All sampling goes through one core, the private
+generator ``_sojourns``: ``sample_trajectory`` builds validated segments from
+its sojourns, while ``sample_on_time`` (used by ``monte_carlo_on_times`` and
+the scenario loop) keeps only the total ON time and the final state of the
+same path.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -116,6 +121,40 @@ def sojourn_survival(params: OnOffParams, state: NodeState, duration: float) -> 
     return math.exp(-params.leaving_rate(state) * duration)
 
 
+def _sojourns(
+    params: OnOffParams,
+    initial: NodeState,
+    horizon: float,
+    seed: int,
+) -> Iterator[tuple[NodeState, float, float]]:
+    """Yield ``(state, start, duration)`` for each sojourn tiling ``[0, horizon]``.
+
+    The single sampling core: every sampled path, and so every seeded bit
+    stream, comes from this loop.  The law is described in
+    ``sample_trajectory``.
+    """
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    rng = np.random.default_rng(seed)
+    state = initial
+    elapsed = 0.0
+    while elapsed < horizon:
+        rate = params.leaving_rate(state)
+        if rate == 0.0:
+            yield state, elapsed, horizon - elapsed
+            return
+        duration = 0.0
+        while duration <= 0.0:
+            # 1 - random() lies in (0, 1], keeping log() finite.
+            duration = -math.log(1.0 - rng.random()) / rate
+        if elapsed + duration >= horizon:
+            yield state, elapsed, horizon - elapsed
+            return
+        yield state, elapsed, duration
+        elapsed += duration
+        state = state.other
+
+
 def sample_trajectory(
     params: OnOffParams,
     initial: NodeState,
@@ -128,33 +167,42 @@ def sample_trajectory(
     state; the final sojourn is clipped at the horizon (censored, not
     resampled).  Deterministic in ``(params, initial, horizon, seed)``.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    rng = np.random.default_rng(seed)
-    segments: list[Segment] = []
+    segments = tuple(Segment(*sojourn) for sojourn in _sojourns(params, initial, horizon, seed))
+    return Trajectory(horizon, segments)
+
+
+def sample_on_time(
+    params: OnOffParams,
+    initial: NodeState,
+    horizon: float,
+    seed: int,
+) -> tuple[float, NodeState]:
+    """Total ON time and final state of the path ``sample_trajectory`` draws.
+
+    Equal, bit for bit, to ``total_on_time(t)`` and ``t.segments[-1].state``
+    for ``t = sample_trajectory(params, initial, horizon, seed)``, without
+    building or validating the segments.
+    """
+    on_time = 0.0
     state = initial
-    elapsed = 0.0
-    while elapsed < horizon:
-        rate = params.leaving_rate(state)
-        if rate == 0.0:
-            segments.append(Segment(state, elapsed, horizon - elapsed))
-            break
-        duration = 0.0
-        while duration <= 0.0:
-            # 1 - random() lies in (0, 1], keeping log() finite.
-            duration = -math.log(1.0 - rng.random()) / rate
-        if elapsed + duration >= horizon:
-            segments.append(Segment(state, elapsed, horizon - elapsed))
-            break
-        segments.append(Segment(state, elapsed, duration))
-        elapsed += duration
-        state = state.other
-    return Trajectory(horizon, tuple(segments))
+    for state, _, duration in _sojourns(params, initial, horizon, seed):
+        if state is NodeState.ON:
+            on_time += duration
+    return on_time, state
 
 
 def total_on_time(traj: Trajectory) -> float:
-    """Total duration spent ON; in ``[0, horizon]``."""
-    return sum(seg.duration for seg in traj.segments if seg.state is NodeState.ON)
+    """Total duration spent ON; in ``[0, horizon]``.
+
+    Added left to right in a plain loop, as ``sample_on_time`` does, because
+    ``sum()`` compensates rounding from Python 3.12 on and would make the
+    result depend on the interpreter version.
+    """
+    on_time = 0.0
+    for seg in traj.segments:
+        if seg.state is NodeState.ON:
+            on_time += seg.duration
+    return on_time
 
 
 def monte_carlo_on_times(
@@ -172,6 +220,4 @@ def monte_carlo_on_times(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
     seeds = np.random.SeedSequence(base_seed).generate_state(n_runs, dtype=np.uint64)
-    return np.array(
-        [total_on_time(sample_trajectory(params, initial, horizon, int(s))) for s in seeds]
-    )
+    return np.array([sample_on_time(params, initial, horizon, int(s))[0] for s in seeds])

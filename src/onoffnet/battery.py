@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .activity import NodeState, Trajectory, total_on_time
 from .occupancy import OccupancySpec, mean_on_time, on_time_density
 
@@ -162,6 +160,8 @@ class ConsumedFraction:
 
 def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> ConsumedFraction:
     """Average state of discharge at the end of the window ``[0, horizon]``."""
+    from scipy.integrate import quad  # imported here to keep scipy off the package import
+
     expected, _ = quad(
         lambda theta: sod_continuous(model, theta) * on_time_density(spec, theta),
         0.0,

@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .activity import GENERATOR_ID, NodeState, OnOffParams, Segment, Trajectory, monte_carlo_on_times, sample_trajectory
@@ -38,6 +37,14 @@ from .occupancy import (
     on_time_density,
 )
 from .scenario import ConfigError, aggregate_metrics, load_scenario_config, run_scenario
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on first use: only ``validate`` needs scipy."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
 
 _DEFAULT_VALIDATE_SETS = ((1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0))
 

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .activity import NodeState, OnOffParams
 
@@ -93,7 +92,8 @@ class DensityCurve:
 
     def mass(self) -> float:
         """Trapezoid integral over the grid; ~1 for a well-resolved full curve."""
-        return float(trapezoid(self.values, self.grid))
+        widths = np.diff(self.grid)
+        return float(np.sum(widths * (self.values[1:] + self.values[:-1]) / 2.0))
 
     def csv_lines(self) -> list[str]:
         """Self-describing CSV: ``#`` parameter header then ``theta,density`` rows."""

@@ -36,6 +36,8 @@ class HelloCodec:
     e_full: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.d_min) and math.isfinite(self.d_max)):
+            raise ValueError(f"d_min and d_max must be finite, got [{self.d_min!r}, {self.d_max!r}]")
         if not 0.0 <= self.d_min < self.d_max:
             raise ValueError(f"need 0 <= d_min < d_max, got [{self.d_min!r}, {self.d_max!r}]")
         if self.slots < 2:

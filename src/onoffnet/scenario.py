@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import NodeState, OnOffParams, sample_trajectory, total_on_time
+from .activity import NodeState, OnOffParams, sample_on_time
 from .battery import BatteryState, SodModel, advance, predict_lifetime
 from .routing import (
     EnergyTable,
@@ -289,14 +289,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
 
         # Activity and discharge over the elapsed period.
         for nid in sorted(graph.nodes):
-            traj = sample_trajectory(
+            on_time, chain_state[nid] = sample_on_time(
                 config.nodes[nid].activity,
                 chain_state[nid],
                 config.hello_period,
                 _trajectory_seed(seed, round_index, node_index[nid]),
             )
-            chain_state[nid] = traj.segments[-1].state
-            battery[nid] = advance(battery[nid], total_on_time(traj))
+            battery[nid] = advance(battery[nid], on_time)
         check_deaths(now)
 
         # HELLO beacons, slotted by residual energy.

@@ -1,9 +1,12 @@
 """Tests for the ON/OFF activity chain: sojourn law, sampling, bookkeeping."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from onoffnet.activity import (
@@ -12,6 +15,7 @@ from onoffnet.activity import (
     Segment,
     Trajectory,
     monte_carlo_on_times,
+    sample_on_time,
     sample_trajectory,
     sojourn_survival,
     total_on_time,
@@ -193,3 +197,34 @@ def test_monte_carlo_on_times_reproducible():
     assert a.shape == (50,)
     assert np.array_equal(a, b)
     assert np.all((a >= 0.0) & (a <= 5.0))
+
+
+# --- sampling core ------------------------------------------------------------
+
+_RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=_RATES,
+    mu=_RATES,
+    initial=st.sampled_from(NodeState),
+    horizon=st.floats(min_value=1e-3, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, seed):
+    params = OnOffParams(lam, mu)
+    traj = sample_trajectory(params, initial, horizon, seed)
+    assert sample_on_time(params, initial, horizon, seed) == (
+        total_on_time(traj),
+        traj.segments[-1].state,
+    )
+
+
+def test_monte_carlo_bit_stream_is_pinned():
+    # Recorded before Monte Carlo stopped building trajectories; any change to
+    # the draws, their order, the clipping or the summation moves this hash.
+    runs = monte_carlo_on_times(OnOffParams(1.0, 3.0), NodeState.ON, 4.0, 2000, 7)
+    assert hashlib.sha256(runs.tobytes()).hexdigest() == (
+        "2fd6026da43003020ae3e9ce630a409bc8a256b7c963648cf570c3dc72c35b96"
+    )

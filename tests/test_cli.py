@@ -54,6 +54,26 @@ def read_table(path):
     return comments, header, np.array(rows)
 
 
+# --- import path ---------------------------------------------------------------
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    code = (
+        "import sys, onoffnet, onoffnet.cli\n"
+        "assert callable(onoffnet.cli.quad)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --- density -----------------------------------------------------------------
 
 

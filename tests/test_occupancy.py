@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from onoffnet.activity import NodeState, OnOffParams, monte_carlo_on_times
 from onoffnet.occupancy import (
@@ -223,6 +223,14 @@ def test_curve_uniform_values():
 def test_curve_mass_is_one_when_well_resolved():
     curve = density_curve(spec_of(0.0, 1.0, 1.0), 10_001)
     assert curve.mass() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_curve_mass_matches_scipy_trapezoid_on_non_uniform_grid():
+    spec = spec_of(0.7, 1.9, 3.0)
+    grid = 3.0 * np.linspace(0.0, 1.0, 257) ** 2
+    values = on_time_density(spec, grid)
+    curve = DensityCurve(spec, grid, values)
+    assert curve.mass() == pytest.approx(float(trapezoid(values, grid)), rel=1e-14, abs=0.0)
 
 
 def test_curve_endpoint_ordering_in_rate_gap():

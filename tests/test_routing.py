@@ -83,6 +83,9 @@ def test_codec_validation():
         HelloCodec(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         HelloCodec(0.0, 1.0, 8, e_full=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="d_max"):
+            HelloCodec(0.0, bad, 8)
 
 
 def test_encode_endpoints():

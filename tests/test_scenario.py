@@ -108,6 +108,13 @@ def test_config_rejects_non_finite_beta(tmp_path, beta):
     assert [e for e in excinfo.value.errors if e.startswith("scenario.beta:")]
 
 
+def test_config_rejects_non_finite_codec_bound(tmp_path):
+    path = write_config(tmp_path, PAIR_TEMPLATE.replace("d_max = 1.0", "d_max = inf"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(path)
+    assert [e for e in excinfo.value.errors if e.startswith("codec:") and "d_max" in e]
+
+
 def test_config_rejects_unknown_section(tmp_path):
     path = write_config(tmp_path, PAIR_TEMPLATE + "\n[extras]\nfoo = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
