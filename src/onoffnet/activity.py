@@ -110,17 +110,6 @@ class Trajectory:
         ]
 
 
-def sojourn_survival(params: OnOffParams, state: NodeState, duration: float) -> float:
-    """Probability that a sojourn in ``state`` lasts longer than ``duration``.
-
-    Equals ``exp(-lam * duration)`` for ON and ``exp(-mu * duration)`` for
-    OFF; time-homogeneous, so only the elapsed duration matters.
-    """
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration!r}")
-    return math.exp(-params.leaving_rate(state) * duration)
-
-
 def _sojourns(
     params: OnOffParams,
     initial: NodeState,

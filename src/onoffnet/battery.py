@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .activity import NodeState, Trajectory, total_on_time
-from .occupancy import OccupancySpec, mean_on_time, on_time_density
+from .occupancy import OccupancySpec, doubling_edges, mean_on_time, quad
 
 
 @dataclass(frozen=True)
@@ -159,16 +161,13 @@ class ConsumedFraction:
 
 
 def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> ConsumedFraction:
-    """Average state of discharge at the end of the window ``[0, horizon]``."""
-    from scipy.integrate import quad  # imported here to keep scipy off the package import
+    """Average state of discharge at the end of the window ``[0, horizon]``.
 
-    expected, _ = quad(
-        lambda theta: sod_continuous(model, theta) * on_time_density(spec, theta),
-        0.0,
-        spec.horizon,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
+    The quadrature is cut on the current's time scale ``tau`` from 0, and at
+    the kink where the curve saturates at 1.
+    """
+    breakpoints = [*doubling_edges(model.tau, spec.horizon), predict_lifetime(model, 1.0)]
+    sod = np.vectorize(lambda active: sod_continuous(model, active), otypes=[float])
+    expected = quad(spec, sod, breakpoints)
     plug_in = sod_continuous(model, mean_on_time(spec))
     return ConsumedFraction(expected, plug_in)

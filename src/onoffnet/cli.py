@@ -34,16 +34,9 @@ from .occupancy import (
     density_curve,
     exact_occupation_distribution,
     mean_on_time,
-    on_time_density,
+    quad,
 )
 from .scenario import ConfigError, aggregate_metrics, load_scenario_config, run_scenario
-
-
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on first use: only ``validate`` needs scipy."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
 
 
 _DEFAULT_VALIDATE_SETS = ((1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0))
@@ -130,6 +123,10 @@ def _scripted_trajectory(spec: str) -> Trajectory:
 
 
 def cmd_discharge(args: argparse.Namespace) -> None:
+    if args.horizon is not None and not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise ValueError(f"--horizon must be finite and > 0, got {args.horizon!r}")
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2, got {args.points}")
     model = SodModel(args.k, args.tau, args.capacity, args.f_init)
     traj = None
     if args.segments is not None:
@@ -149,6 +146,8 @@ def cmd_discharge(args: argparse.Namespace) -> None:
     else:
         if args.horizon is None:
             raise ValueError("continuous mode needs --horizon")
+        if args.trajectory_out is not None:
+            raise ValueError("--trajectory-out needs a modulated (scripted or sampled) trace")
         horizon = args.horizon
 
     times = np.linspace(0.0, horizon, args.points)
@@ -173,8 +172,6 @@ def cmd_discharge(args: argparse.Namespace) -> None:
     _write_lines(_resolve_out(args.out), lines)
 
     if args.trajectory_out is not None:
-        if traj is None:
-            raise ValueError("--trajectory-out needs a modulated (scripted or sampled) trace")
         tlines = [_tool_header("discharge"), "segment_index,state,start,duration"]
         tlines.extend(traj.csv_rows())
         _write_lines(_resolve_out(args.trajectory_out), tlines)
@@ -205,10 +202,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
         spec = OccupancySpec(OnOffParams(lam, mu), horizon)
         step = args.step if args.step is not None else horizon / 4096.0
         closed = mean_on_time(spec)
-        quad_mean, _ = quad(
-            lambda th: th * on_time_density(spec, th), 0.0, horizon,
-            epsabs=1e-12, epsrel=1e-12, limit=200,
-        )
+        quad_mean = quad(spec, lambda theta: theta)
         law_on = exact_occupation_distribution(spec, step, NodeState.ON)
         law_off = exact_occupation_distribution(spec, step, NodeState.OFF)
         on_times = monte_carlo_on_times(

@@ -8,15 +8,11 @@ over ``[0, t]``, a one-parameter family of densities in ``x = mu - lam``:
 
     f(theta) = x * exp(x*theta) / (exp(x*t) - 1),      theta in [0, t]
 
-with normalising constant
-
-    C = (mu - lam) / (exp(-lam*t) - exp(-mu*t)),
-
-cumulative distribution ``(exp(x*theta) - 1) / (exp(x*t) - 1)`` and mean
+with cumulative distribution ``(exp(x*theta) - 1) / (exp(x*t) - 1)`` and mean
 
     E[T] = t - 1/x + t/(exp(x*t) - 1).
 
-All four expressions have a removable singularity at ``x = 0`` where the
+All three expressions have a removable singularity at ``x = 0`` where the
 family degenerates to the uniform density ``1/t`` (cdf ``theta/t``, mean
 ``t/2``); below ``|x|*t = 1e-8`` the limit branch is returned explicitly.
 A plus-signed variant of the mean, ``t + 1/x + t/(exp(x*t) - 1)``, circulates
@@ -41,6 +37,7 @@ the two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +50,9 @@ _LIMIT_EPS = 1e-8
 
 # exp() overflows just above 709; branch before feeding it such exponents.
 _EXP_OVERFLOW = 700.0
+
+# 32-point Gauss-Legendre on [-1, 1] for ``quad``; built on first use, as most commands never integrate.
+_gauss_rule = functools.cache(lambda: np.polynomial.legendre.leggauss(32))
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,6 @@ class DensityCurve:
 def _check_theta(theta: np.ndarray, horizon: float) -> None:
     if np.any(theta < 0.0) or np.any(theta > horizon):
         raise ValueError(f"theta must lie in [0, {horizon}]")
-
-
-def normalization_constant(spec: OccupancySpec) -> float:
-    """Constant ``C`` scaling the path envelope into a unit-mass density.
-
-    ``C = (mu - lam)/(exp(-lam*t) - exp(-mu*t))``; equals ``exp(lam*t)/t`` in
-    the ``x -> 0`` limit.  Evaluated as ``|x| * exp(min(lam, mu)*t) /
-    (1 - exp(-|x|*t))``, which is exact algebra and stable for either sign
-    of ``x``.
-    """
-    p, t = spec.params, spec.horizon
-    x = spec.rate_gap
-    if abs(x) * t < _LIMIT_EPS:
-        return math.exp(p.lam * t) / t
-    return abs(x) * math.exp(min(p.lam, p.mu) * t) / -math.expm1(-abs(x) * t)
 
 
 def _density_positive_gap(x: float, t: float, theta: np.ndarray) -> np.ndarray:
@@ -186,6 +171,39 @@ def mean_on_time(spec: OccupancySpec) -> float:
     if x * t > _EXP_OVERFLOW:
         return t - 1.0 / x
     return t - 1.0 / x + t / math.expm1(x * t)
+
+
+def doubling_edges(scale: float, length: float) -> np.ndarray:
+    """Offsets ``0, s, 3s, 7s, ...`` below ``length``: panels doubling in width from 0."""
+    # Counted in logs, as length/scale may overflow when |x|*t does.
+    count = max(1, math.ceil(math.log2(length) - math.log2(scale)) + 1)
+    edges = np.ldexp(scale, np.arange(count)) - scale
+    return edges[edges < length]
+
+
+def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
+    """``E[g(T)]``, the integral of ``g(theta) * f(theta)`` over ``[0, t]``.
+
+    ``g`` maps an array of ON times to an array.  Composite 32-point
+    Gauss-Legendre on panels of widths ``1/|x|, 2/|x|, 4/|x|, ...`` from the
+    end where the density peaks resolves its spike however large ``|x|*t``
+    grows (one panel when ``|x|*t <= 1``); ``breakpoints`` cut them further.
+    """
+    t, x = spec.horizon, spec.rate_gap
+    rate = abs(x)
+    # Work in the depth below the peak end, so no digits go to t - depth there.
+    edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
+    cuts = [t - b if x > 0.0 else b for b in breakpoints if 0.0 < b < t]
+    edges = np.unique(np.concatenate([edges, cuts, [t]]))
+    nodes, weights = _gauss_rule()
+    half = np.diff(edges)[:, None] / 2.0
+    depth = edges[:-1, None] + half * (1.0 + nodes)
+    if rate * t < _LIMIT_EPS:
+        density = 1.0 / t
+    else:
+        density = rate * np.exp(-rate * depth) / -math.expm1(-rate * t)
+    theta = t - depth if x > 0.0 else depth
+    return float(np.sum(half * weights * density * g(theta)))
 
 
 def density_curve(spec: OccupancySpec, n_points: int) -> DensityCurve:

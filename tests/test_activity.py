@@ -1,4 +1,4 @@
-"""Tests for the ON/OFF activity chain: sojourn law, sampling, bookkeeping."""
+"""Tests for the ON/OFF activity chain: sampling and bookkeeping."""
 
 import hashlib
 import math
@@ -17,7 +17,6 @@ from onoffnet.activity import (
     monte_carlo_on_times,
     sample_on_time,
     sample_trajectory,
-    sojourn_survival,
     total_on_time,
 )
 
@@ -30,48 +29,6 @@ def test_params_validation():
     p = OnOffParams(0.25, 0.5)
     assert p.leaving_rate(NodeState.ON) == 0.25
     assert p.leaving_rate(NodeState.OFF) == 0.5
-
-
-# --- sojourn survival ---------------------------------------------------
-
-
-def test_survival_empty_interval_is_one():
-    p = OnOffParams(2.3, 0.7)
-    assert sojourn_survival(p, NodeState.ON, 0.0) == 1.0
-    assert sojourn_survival(p, NodeState.OFF, 0.0) == 1.0
-
-
-def test_survival_direct_value():
-    # exp(-lam * d) with lam=0.5, d=2; cross-checked against the
-    # finite-product discretisation (1 - lam*h)^(d/h) as h -> 0.
-    p = OnOffParams(0.5, 1.0)
-    value = sojourn_survival(p, NodeState.ON, 2.0)
-    assert value == pytest.approx(0.36787944117144233, rel=1e-15)
-    h = 1e-6
-    product = (1.0 - 0.5 * h) ** (2.0 / h)
-    assert value == pytest.approx(product, rel=1e-5)
-
-
-def test_survival_absorbing_state():
-    p = OnOffParams(0.0, 1.0)
-    assert sojourn_survival(p, NodeState.ON, 1e6) == 1.0
-
-
-def test_survival_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        sojourn_survival(OnOffParams(1.0, 1.0), NodeState.ON, -0.1)
-
-
-def test_survival_monotone_and_multiplicative():
-    p = OnOffParams(0.8, 0.3)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        d1, d2 = rng.uniform(0.0, 5.0, size=2)
-        s1 = sojourn_survival(p, NodeState.ON, d1)
-        s12 = sojourn_survival(p, NodeState.ON, d1 + d2)
-        assert s12 <= s1
-        assert s12 == pytest.approx(s1 * sojourn_survival(p, NodeState.ON, d2), rel=1e-12)
-        assert 0.0 < s12 <= 1.0
 
 
 # --- trajectory construction -------------------------------------------

@@ -271,3 +271,22 @@ def test_expected_consumption_obeys_jensen(lam, mu, t):
     spec = OccupancySpec(OnOffParams(lam, mu), t)
     result = expected_consumed_fraction(MODEL, spec)
     assert result.expected <= result.at_mean_on_time + 1e-12
+
+
+def test_expected_consumption_resolves_spike_of_huge_rate_gap():
+    # lam=0, mu=1e4, t=3: T lies within about 1e-4 of t almost surely, so the
+    # answer is close to sod_continuous(MODEL, 3) = 0.3884.  QUADPACK on
+    # [0, t] in one piece misses the spike and returns about 1e-13; the oracle
+    # splits at t - 50/x so that its second piece holds the spike, and writes
+    # the density out by hand.
+    x, t = 1e4, 3.0
+    result = expected_consumed_fraction(MODEL, OccupancySpec(OnOffParams(0.0, x), t))
+
+    def integrand(theta):
+        return sod_continuous(MODEL, theta) * x * math.exp(x * (theta - t)) / -math.expm1(-x * t)
+
+    split = t - 50.0 / x
+    below, _ = quad(integrand, 0.0, split, epsabs=1e-14, epsrel=1e-13, limit=200)
+    spike, _ = quad(integrand, split, t, epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert result.expected == pytest.approx(below + spike, rel=1e-9)
+    assert result.expected == pytest.approx(sod_continuous(MODEL, t), rel=1e-4)

@@ -73,6 +73,34 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
+    # No subcommand needs scipy: each runs against a scipy that fails to import.
+    stub = tmp_path / "stub" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
+    env = cli_env(tmp_path)
+    env["PYTHONPATH"] = str(stub.parent) + os.pathsep + env["PYTHONPATH"]
+    probe = subprocess.run([sys.executable, "-c", "import scipy"], capture_output=True, env=env)
+    assert probe.returncode != 0  # the stub shadows any installed scipy
+    cell = ["--k", "1", "--tau", "2", "--capacity", "4"]
+    for args, outputs in (
+        (["density", "--x", "0.5", "--horizon", "1", "--points", "101", "--out", "d.csv"], ["d.csv"]),
+        (["mean-curve", "--horizon", "10", "--points", "100", "--out", "m.csv"], ["m.csv"]),
+        (["discharge", *cell, "--lambda", "1", "--mu", "2", "--horizon", "10",
+          "--out", "g.csv", "--trajectory-out", "gs.csv"], ["g.csv", "gs.csv"]),
+        (["validate", "--params", "1.0,3.0,4.0", "--replications", "10000", "--out", "v.csv"], ["v.csv"]),
+        (["route", "--config", str(DIAMOND), "--out-dir", "r"], ["r/events_seed42.log", "r/metrics.csv"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "onoffnet.cli", *args],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, f"{args[0]}: {proc.stderr}"
+        for out in outputs:
+            assert (tmp_path / out).is_file(), f"{args[0]} did not write {out}"
+
 
 # --- density -----------------------------------------------------------------
 
@@ -221,6 +249,31 @@ def test_discharge_rejects_horizon_conflict(tmp_path):
     assert "conflicts" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["--horizon", "inf"], "--horizon"),
+        (["--horizon", "nan"], "--horizon"),
+        (["--horizon", "-5"], "--horizon"),
+        (["--horizon", "0"], "--horizon"),
+        (["--horizon", "10", "--points", "0"], "--points"),
+        (["--horizon", "10", "--points", "1"], "--points"),
+        (["--segments", "ON:1,OFF:1", "--horizon", "nan"], "--horizon"),
+        (["--horizon", "10", "--trajectory-out", "t.csv"], "--trajectory-out"),
+    ],
+    ids=["inf", "nan", "negative", "zero", "points-0", "points-1", "scripted-nan", "continuous-trajectory"],
+)
+def test_discharge_rejects_bad_grid_before_writing(tmp_path, args, flag):
+    proc = run_cli(
+        ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", *args, "--out", "x.csv"],
+        tmp_path,
+        check=False,
+    )
+    assert proc.returncode == 1
+    assert flag in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # rejected before any write
+
+
 # --- validate ----------------------------------------------------------------------
 
 
@@ -241,6 +294,19 @@ def test_validate_report_consistency(tmp_path):
         assert row[cols["tv_start_on"]] > 0.0
     # x = 0 row: uniform closed form, mean t/2.
     assert data[1, cols["mean_closed_form"]] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_validate_quadrature_resolves_spike_of_huge_rate_gap(tmp_path):
+    # x*t = 1e10: the density is a spike of width 1e-8 at T = t, which
+    # QUADPACK on [0, t] in one piece misses (it printed 0.0 here).
+    run_cli(
+        ["validate", "--params", "0,1e8,100", "--replications", "10000", "--out", "spike.csv"],
+        tmp_path,
+    )
+    _, header, data = read_table(tmp_path / "spike.csv")
+    cols = {name: i for i, name in enumerate(header)}
+    row = data[0]
+    assert row[cols["mean_quadrature"]] == pytest.approx(row[cols["mean_closed_form"]], rel=1e-6)
 
 
 def test_validate_degenerate_always_on_row(tmp_path):

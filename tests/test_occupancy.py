@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad, trapezoid
 
@@ -18,12 +20,13 @@ from onoffnet.occupancy import (
     OccupancySpec,
     closed_form_gap,
     density_curve,
+    doubling_edges,
     exact_occupation_distribution,
     mean_on_time,
-    normalization_constant,
     on_time_cdf,
     on_time_density,
 )
+from onoffnet.occupancy import quad as density_quad
 
 
 def spec_of(lam: float, mu: float, t: float) -> OccupancySpec:
@@ -40,31 +43,34 @@ GRID = [
 ]
 
 
-# --- normalization constant ---------------------------------------------
+# --- envelope ---------------------------------------------------------------
+# The density is the path envelope exp(-mu*(t-theta)) * exp(-lam*theta) scaled
+# by C = (mu - lam)/(exp(-lam*t) - exp(-mu*t)).
 
 
-def test_constant_limit_at_equal_rates():
-    assert normalization_constant(spec_of(0.0, 0.0, 4.0)) == pytest.approx(0.25, rel=1e-15)
+def envelope(lam: float, mu: float, t: float, theta: float) -> float:
+    return math.exp(-mu * (t - theta)) * math.exp(-lam * theta)
 
 
 def test_constant_frozen_values():
-    assert normalization_constant(spec_of(0.5, 1.0, 2.0)) == pytest.approx(
-        2.1501292676641858, rel=1e-12
-    )
-    assert normalization_constant(spec_of(0.0, 1.0, 1.0)) == pytest.approx(
-        1.5819767068693264, rel=1e-12
-    )
+    # C at two rate sets, frozen from 30-digit arithmetic.
+    for (lam, mu, t), c in (((0.5, 1.0, 2.0), 2.1501292676641858), ((0.0, 1.0, 1.0), 1.5819767068693264)):
+        for theta in (0.0, 0.3 * t, t):
+            assert on_time_density(spec_of(lam, mu, t), theta) == pytest.approx(
+                c * envelope(lam, mu, t, theta), rel=1e-12
+            )
 
 
 @pytest.mark.parametrize("lam,mu,t", GRID)
 def test_constant_inverts_envelope_integral(lam, mu, t):
-    # 1/C equals the integral of exp(-mu*t) * exp(x*theta) over [0, t].
+    # 1/C is the integral of the envelope over [0, t], so density times that
+    # integral gives back the envelope everywhere.
+    integral, _ = quad(lambda th: envelope(lam, mu, t, th), 0.0, t, epsabs=1e-13, epsrel=1e-13)
     spec = spec_of(lam, mu, t)
-    c = normalization_constant(spec)
-    x = spec.rate_gap
-    integral, _ = quad(lambda th: math.exp(-mu * t) * math.exp(x * th), 0.0, t,
-                       epsabs=1e-13, epsrel=1e-13)
-    assert c * integral == pytest.approx(1.0, abs=1e-9)
+    for theta in np.linspace(0.0, t, 7):
+        assert on_time_density(spec, theta) * integral == pytest.approx(
+            envelope(lam, mu, t, theta), rel=1e-9
+        )
 
 
 # --- density --------------------------------------------------------------
@@ -210,6 +216,57 @@ def test_limits_continuity_across_singularity():
         assert on_time_density(spec, 3.0) == pytest.approx(on_time_density(uniform, 3.0), rel=1e-4)
         assert on_time_cdf(spec, 3.0) == pytest.approx(on_time_cdf(uniform, 3.0), rel=1e-4)
         assert mean_on_time(spec) == pytest.approx(mean_on_time(uniform), rel=1e-4)
+
+
+# --- quadrature against the density -------------------------------------------
+
+
+def test_doubling_edges():
+    assert doubling_edges(1.0, 10.0).tolist() == [0.0, 1.0, 3.0, 7.0]
+    assert doubling_edges(0.5, 3.5).tolist() == [0.0, 0.5, 1.5]
+    assert doubling_edges(2.0, 1.0).tolist() == [0.0]
+    huge = doubling_edges(1e-300, 1e10)  # length/scale overflows a float
+    assert huge.size == 1030 and huge[-1] < 1e10 and np.all(np.diff(huge) > 0.0)
+
+
+@pytest.mark.parametrize("lam,mu,t", GRID + [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0)])
+def test_quad_mass_and_mean(lam, mu, t):
+    spec = spec_of(lam, mu, t)
+    assert density_quad(spec, np.ones_like) == pytest.approx(1.0, rel=1e-13)
+    assert density_quad(spec, lambda th: th) == pytest.approx(mean_on_time(spec), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(1e-3, 1e3),
+    log_gap=st.floats(-10.0, 6.0),
+    positive=st.booleans(),
+)
+def test_quad_mean_matches_closed_form_up_to_huge_gaps(t, log_gap, positive):
+    # |x|*t spans 1e-10 .. 1e6: the uniform limit, one panel, and a spike of
+    # width 1/|x| at either end of the window.  Between |x|*t = 1e-8 (where
+    # the uniform limit branch takes over) and 1e-4 the closed form cancels
+    # digits (3e-8 relative at 1e-8), so the oracle there is its Taylor
+    # series t/2 + x t^2/12 - x^3 t^4/720.
+    spec = spec_of(0.0, 10.0 ** log_gap / t, t) if positive else spec_of(10.0 ** log_gap / t, 0.0, t)
+    x = spec.rate_gap
+    if 1e-8 <= abs(x) * t < 1e-4:
+        expected = t / 2.0 + x * t * t / 12.0 - x**3 * t**4 / 720.0
+    else:
+        expected = mean_on_time(spec)
+    assert density_quad(spec, lambda th: th) == pytest.approx(expected, rel=1e-9)
+
+
+def test_quad_breakpoint_resolves_kink():
+    # E[min(T, c)] against scipy on the two sides of the kink; without the
+    # breakpoint the smooth rule misses it at the 1e-5 level.
+    spec = spec_of(0.2, 1.0, 5.0)
+    c = 2.7
+    left, _ = quad(lambda th: th * on_time_density(spec, th), 0.0, c, epsabs=1e-14, epsrel=1e-13)
+    right, _ = quad(lambda th: on_time_density(spec, th), c, 5.0, epsabs=1e-14, epsrel=1e-13)
+    capped = lambda th: np.minimum(th, c)
+    assert density_quad(spec, capped, [c]) == pytest.approx(left + c * right, rel=1e-12)
+    assert density_quad(spec, capped) != pytest.approx(left + c * right, rel=1e-9)
 
 
 # --- curves -----------------------------------------------------------------
