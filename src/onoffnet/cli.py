@@ -41,6 +41,9 @@ from .scenario import ConfigError, aggregate_metrics, load_scenario_config, run_
 
 _DEFAULT_VALIDATE_SETS = ((1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0))
 
+# validate compares the exact law with the closed form over horizon/4096 cells.
+_LAW_CELLS = 4096
+
 # Figure-grade curves need enough resolution to be judged by shape.
 _MIN_CURVE_POINTS = 100
 
@@ -127,6 +130,8 @@ def cmd_discharge(args: argparse.Namespace) -> None:
         raise ValueError(f"--horizon must be finite and > 0, got {args.horizon!r}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     model = SodModel(args.k, args.tau, args.capacity, args.f_init)
     traj = None
     if args.segments is not None:
@@ -180,6 +185,8 @@ def cmd_discharge(args: argparse.Namespace) -> None:
 def cmd_validate(args: argparse.Namespace) -> None:
     if args.replications < 10_000:
         raise ValueError(f"--replications must be >= 10000, got {args.replications}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.params:
         sets = []
         for raw in args.params:
@@ -192,7 +199,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
     lines = [
         _tool_header("validate"),
-        f"# replications={args.replications} seed={args.seed} step={args.step!r}",
+        f"# replications={args.replications} seed={args.seed}",
         "lambda,mu,horizon,x,mean_closed_form,mean_quadrature,"
         "exact_mean_start_on,exact_mean_start_off,mc_mean,mc_stderr,"
         "tv_start_on,tv_start_off,atom_zero_start_on,atom_full_start_on,"
@@ -200,11 +207,10 @@ def cmd_validate(args: argparse.Namespace) -> None:
     ]
     for index, (lam, mu, horizon) in enumerate(sets):
         spec = OccupancySpec(OnOffParams(lam, mu), horizon)
-        step = args.step if args.step is not None else horizon / 4096.0
         closed = mean_on_time(spec)
         quad_mean = quad(spec, lambda theta: theta)
-        law_on = exact_occupation_distribution(spec, step, NodeState.ON)
-        law_off = exact_occupation_distribution(spec, step, NodeState.OFF)
+        law_on = exact_occupation_distribution(spec, horizon / _LAW_CELLS, NodeState.ON)
+        law_off = exact_occupation_distribution(spec, horizon / _LAW_CELLS, NodeState.OFF)
         on_times = monte_carlo_on_times(
             spec.params, NodeState.ON, horizon, args.replications, args.seed + index
         )
@@ -294,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="closed form vs exact law vs Monte Carlo report")
     v.add_argument("--params", action="append", help="'lambda,mu,horizon' (repeatable)")
     v.add_argument("--replications", type=int, default=10_000)
-    v.add_argument("--step", type=float, help="exact-law slot width (default horizon/4096)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_validate)

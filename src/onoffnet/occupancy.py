@@ -27,10 +27,18 @@ but keeps every exponent non-positive, so nothing overflows however large
 identity ``f(theta; -x) = f(t-theta; x)``.
 
 The envelope drops path-multiplicity factors, so it only approximates the
-true occupation-time law.  :func:`exact_occupation_distribution` computes the
-true law by dynamic programming on a fine slot grid, including the atoms at
-``T = 0`` and ``T = t`` contributed by paths that never switch (the
-continuous density cannot carry them, so they are reported separately), and
+true occupation-time law.  That law is known in closed form (Pedler 1971,
+J. Appl. Prob. 8(2)): from an ON start, with ``a = lam*s``, ``b = mu*(t-s)``
+and ``pi_k(m) = exp(-m) m^k/k!``, ``T`` has the density
+
+    lam sum_j pi_j(a) pi_j(b) + mu sum_j pi_{j+1}(a) pi_j(b),   s in (0, t)
+
+and the atom ``exp(-lam*t)`` at ``T = t``, and mean
+``mu t/(lam+mu) + lam (1 - exp(-(lam+mu) t))/(lam+mu)^2``; from an OFF start
+``T`` is ``t`` minus the ON-start ``T`` of the swapped rates.
+:func:`exact_occupation_distribution` integrates it over cells of a fine
+grid, the never-switching atoms included (the continuous envelope cannot
+carry them, so they are also reported separately), and
 :func:`closed_form_gap` measures the total-variation distance between
 the two.
 """
@@ -48,11 +56,19 @@ from .activity import NodeState, OnOffParams
 # |x|*t below this threshold is treated as the removable singularity at x = 0.
 _LIMIT_EPS = 1e-8
 
+# Below this |x|*t the mean is its Taylor series: the series' first omitted
+# term and the closed form's cancellation are both below 5e-14 relative here.
+_SERIES_LIMIT = 1e-2
+
 # exp() overflows just above 709; branch before feeding it such exponents.
 _EXP_OVERFLOW = 700.0
 
-# 32-point Gauss-Legendre on [-1, 1] for ``quad``; built on first use, as most commands never integrate.
-_gauss_rule = functools.cache(lambda: np.polynomial.legendre.leggauss(32))
+# n-point Gauss-Legendre on [-1, 1]; built on first use, as most commands never integrate.
+_gauss_rule = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
+
+# Poisson terms the exact law may sum per point, and array elements per block of that sum.
+_MAX_TERMS = 10_000
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,11 +105,6 @@ class DensityCurve:
             raise ValueError("grid must be strictly increasing")
         if np.any(self.values < 0.0):
             raise ValueError("density values must be >= 0")
-
-    def mass(self) -> float:
-        """Trapezoid integral over the grid; ~1 for a well-resolved full curve."""
-        widths = np.diff(self.grid)
-        return float(np.sum(widths * (self.values[1:] + self.values[:-1]) / 2.0))
 
     def csv_lines(self) -> list[str]:
         """Self-describing CSV: ``#`` parameter header then ``theta,density`` rows."""
@@ -163,14 +174,22 @@ def mean_on_time(spec: OccupancySpec) -> float:
 
     Always in ``(0, t)``: increasing in ``x`` with asymptotes ``1/|x|`` for
     strongly negative ``x`` and ``t - 1/x`` for strongly positive ``x``.
+    For ``x < 0`` it is evaluated as ``1/|x| - t/(exp(|x|*t) - 1)``, and
+    below ``|x|*t = 1e-2`` as the Taylor series
+    ``t/2 + x t^2/12 - x^3 t^4/720``, as the closed form cancels digits there.
     """
     t = spec.horizon
     x = spec.rate_gap
-    if abs(x) * t < _LIMIT_EPS:
+    z = abs(x) * t
+    if z < _LIMIT_EPS:
         return t / 2.0
-    if x * t > _EXP_OVERFLOW:
-        return t - 1.0 / x
-    return t - 1.0 / x + t / math.expm1(x * t)
+    if z < _SERIES_LIMIT:
+        return t / 2.0 + x * t * t / 12.0 - x**3 * t**4 / 720.0
+    if z > _EXP_OVERFLOW:
+        return t - 1.0 / x if x > 0.0 else -1.0 / x
+    if x > 0.0:
+        return t - 1.0 / x + t / math.expm1(z)
+    return -1.0 / x - t / math.expm1(z)
 
 
 def doubling_edges(scale: float, length: float) -> np.ndarray:
@@ -195,7 +214,7 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
     cuts = [t - b if x > 0.0 else b for b in breakpoints if 0.0 < b < t]
     edges = np.unique(np.concatenate([edges, cuts, [t]]))
-    nodes, weights = _gauss_rule()
+    nodes, weights = _gauss_rule(32)
     half = np.diff(edges)[:, None] / 2.0
     depth = edges[:-1, None] + half * (1.0 + nodes)
     if rate * t < _LIMIT_EPS:
@@ -216,12 +235,14 @@ def density_curve(spec: OccupancySpec, n_points: int) -> DensityCurve:
 
 @dataclass(frozen=True, eq=False)
 class OccupationLaw:
-    """Exact law of the total ON time on a slot grid of width ``step``.
+    """Exact law of the total ON time, as masses of cells of width ``step``.
 
-    ``pmf[k]`` is the probability of ``on_times[k] = k*step`` total ON time.
-    The boundary entries are the never-switching atoms: ``atom_zero`` (all
-    OFF) and ``atom_full`` (all ON), which exist in the true law but not in
-    the continuous closed form.
+    ``pmf[k]`` is the probability that the total ON time lies in the cell
+    around ``on_times[k] = k*step``: ``[0, step/2]``, ``[k*step - step/2,
+    k*step + step/2]``, ..., ``[t - step/2, t]``.  The end cells carry the
+    never-switching atoms ``atom_zero`` (all OFF) and ``atom_full`` (all ON),
+    which exist in the true law but not in the continuous closed form.
+    ``mean`` and the atoms are exact, not read off the cells.
     """
 
     spec: OccupancySpec
@@ -232,20 +253,67 @@ class OccupationLaw:
 
     @property
     def mean(self) -> float:
-        return float(np.dot(self.pmf, self.on_times))
+        p, t = self.spec.params, self.spec.horizon
+        if self.initial is NodeState.ON:
+            return _on_start_mean(p.lam, p.mu, t)
+        return t - _on_start_mean(p.mu, p.lam, t)
 
     @property
     def atom_zero(self) -> float:
-        return float(self.pmf[0])
+        return math.exp(-self.spec.params.mu * self.spec.horizon) if self.initial is NodeState.OFF else 0.0
 
     @property
     def atom_full(self) -> float:
-        return float(self.pmf[-1])
+        return math.exp(-self.spec.params.lam * self.spec.horizon) if self.initial is NodeState.ON else 0.0
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
-        """Aggregate the pmf into histogram bins (right edge closed)."""
+        """Aggregate the cell masses into histogram bins (right edge closed)."""
         masses, _ = np.histogram(self.on_times, bins=edges, weights=self.pmf)
         return masses
+
+
+def _on_start_mean(lam: float, mu: float, t: float) -> float:
+    """``E[T]`` from an ON start: ``mu t/(lam+mu) + lam (1 - e^{-(lam+mu) t})/(lam+mu)^2``."""
+    total = lam + mu
+    if total == 0.0:
+        return t
+    # (1 - e^{-z})/z with z = (lam+mu) t, formed so that tiny rates do not underflow.
+    z = total * t
+    ratio = -math.expm1(-z) / z if z > 0.0 else 1.0
+    return t * (mu + lam * ratio) / total
+
+
+def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Density of ``T`` at ``s`` in ``(0, t)`` from an ON start, given ``r = t - s``.
+
+    With ``a = lam*s``, ``b = mu*r`` and ``pi_k(m) = e^{-m} m^k/k!`` it is
+    ``lam sum_j pi_j(a) pi_j(b) + mu sum_j pi_{j+1}(a) pi_j(b)``: the path
+    ends OFF after ``j+1`` ON sojourns, or ON after ``j+1`` OFF sojourns.
+    Each product is formed as the exponential of a sum of logs, which is at
+    most 0, so nothing overflows and no partial factor underflows; and
+    ``pi_{j+1}(a) = pi_j(a) a/(j+1)`` gives the second sum from the first.
+    Both ``s`` and ``r`` are passed so that neither is computed as a
+    difference of nearby values.
+    """
+    a, b = lam * s, mu * r
+    # The products peak at j = sqrt(a*b) with width about sqrt(sqrt(a*b)); past
+    # 8 widths, or 16 terms when the peak is small, they drop below 1e-20.
+    peak = math.sqrt(float(np.max(a * b, initial=0.0)))
+    if not peak + 8.0 * math.sqrt(peak) + 16.0 <= _MAX_TERMS:
+        raise ValueError(f"lambda*mu*horizon^2 too large for the exact law: its sums need over {_MAX_TERMS} terms")
+    terms = math.ceil(peak + 8.0 * math.sqrt(peak)) + 16
+    j = np.arange(terms)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(terms)])[:, None]
+    out = np.empty_like(s)
+    block = max(1, _BLOCK_ELEMENTS // terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, s.size, block):
+            ab = slice(lo, lo + block)
+            log_ab = j * np.log(a[ab] * b[ab]) - 2.0 * log_fact
+            log_ab[0] = 0.0  # (a*b)**0 = 1, also where a*b = 0
+            products = np.exp(log_ab - a[ab] - b[ab])
+            out[ab] = lam * products.sum(axis=0) + mu * a[ab] * (products / (j + 1)).sum(axis=0)
+    return out
 
 
 def exact_occupation_distribution(
@@ -253,34 +321,42 @@ def exact_occupation_distribution(
     step: float,
     initial: NodeState = NodeState.ON,
 ) -> OccupationLaw:
-    """True occupation-time law by dynamic programming over time slots.
+    """Exact occupation-time law (Pedler 1971) on cells of width about ``step``.
 
-    Time is cut into ``t/step`` slots; per slot the chain switches with
-    probability ``1 - exp(-lam*step)`` from ON and ``1 - exp(-mu*step)`` from
-    OFF, and the joint distribution over (current state, number of ON slots)
-    is propagated exactly.  Total mass is conserved to 1e-9.  Unlike the
-    closed form, the result conditions on the initial state.
+    From an ON start, ``T`` has the atom ``e^{-lam*t}`` at ``t`` and the
+    density of :func:`_on_start_density` on ``(0, t)``; from an OFF start it
+    is ``t`` minus ``T`` of an ON start with the rates swapped.  Each cell
+    mass is a 12-point Gauss-Legendre sum, on panels cut further at
+    boundary layers of width ``1/max(lam, mu)`` at both ends of the window,
+    where the density can be a spike narrower than a cell.  Total mass is
+    checked to 1e-9.  Unlike the closed form, the law depends on the
+    initial state.
     """
     t = spec.horizon
     if not (0.0 < step <= t / 100.0):
         raise ValueError(f"step must satisfy 0 < step <= horizon/100, got {step!r}")
     n = int(round(t / step))
     h = t / n
-    p = -math.expm1(-spec.params.lam * h)
-    q = -math.expm1(-spec.params.mu * h)
-    on = np.zeros(n + 1)
-    off = np.zeros(n + 1)
-    if initial is NodeState.ON:
-        on[0] = 1.0
-    else:
-        off[0] = 1.0
-    shifted = np.empty(n + 1)
-    for _ in range(n):
-        # An ON slot bumps the count by one before the end-of-slot transition.
-        shifted[0] = 0.0
-        shifted[1:] = on[:-1]
-        on, off = shifted * (1.0 - p) + off * q, shifted * p + off * (1.0 - q)
-    pmf = on + off
+    lam, mu = spec.params.lam, spec.params.mu
+    if initial is NodeState.OFF:
+        lam, mu = mu, lam
+    # Cells of the half window [0, t/2]; the other half is their mirror image,
+    # so every node is held as its distance to the nearer end of the window
+    # and neither s nor t - s loses digits to a subtraction.
+    edges = np.concatenate([[0.0], (np.arange(n // 2) + 0.5) * h, [t / 2.0]])
+    rate = max(lam, mu)
+    panels = np.union1d(edges, doubling_edges(1.0 / rate, t / 2.0)) if rate * t > 1.0 else edges
+    nodes, weights = _gauss_rule(12)
+    half = np.diff(panels)[:, None] / 2.0
+    near = (panels[:-1, None] + half * (1.0 + nodes)).ravel()
+    far = t - near
+    weight = (half * weights).ravel()
+    cell = np.repeat(np.searchsorted(edges, panels[:-1], side="right") - 1, nodes.size)
+    pmf = np.bincount(cell, weight * _on_start_density(lam, mu, near, far), n + 1)
+    pmf += np.bincount(n - cell, weight * _on_start_density(lam, mu, far, near), n + 1)
+    pmf[n] += math.exp(-lam * t)
+    if initial is NodeState.OFF:
+        pmf = pmf[::-1]
     total = float(pmf.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"occupation law lost probability mass: sum={total!r}")
@@ -290,10 +366,10 @@ def exact_occupation_distribution(
 def closed_form_gap(law: OccupationLaw) -> float:
     """Total-variation distance between the exact law and the closed form.
 
-    The closed-form density is binned onto the law's slot grid (cdf
-    differences over ``k*step +- step/2`` cells), so both sides live on the
-    same discrete support.  Nonzero in general: the closed form carries no
-    boundary atoms and ignores path multiplicity.
+    The closed-form density is binned onto the law's cells (cdf differences
+    over ``k*step +- step/2``), so both sides live on the same support.
+    Nonzero in general: the closed form carries no boundary atoms and
+    ignores path multiplicity.
     """
     t = law.spec.horizon
     n = law.on_times.size - 1

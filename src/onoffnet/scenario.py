@@ -152,14 +152,17 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             seeds = tuple(int(tok) for tok in parser.get("scenario", "seeds").split())
         except ValueError as exc:
             errors.append(f"scenario.seeds: {exc}")
+        if any(seed < 0 for seed in seeds):
+            errors.append(f"scenario.seeds: seeds must be >= 0, got {min(seeds)}")
     elif parser.has_option("scenario", "seed"):
         base = grab("scenario", "seed", int)
         replications = grab("scenario", "replications", int, default=1, required=False)
+        if base is not None and base < 0:
+            errors.append(f"scenario.seed: must be >= 0, got {base}")
+        if replications is not None and replications < 1:
+            errors.append(f"scenario.replications: must be >= 1, got {replications}")
         if base is not None and replications is not None:
-            if replications < 1:
-                errors.append(f"scenario.replications: must be >= 1, got {replications}")
-            else:
-                seeds = tuple(base + i for i in range(replications))
+            seeds = tuple(base + i for i in range(replications))
     else:
         errors.append("scenario.seeds: missing (give 'seeds' or 'seed')")
     if seeds and len(set(seeds)) != len(seeds):

@@ -341,15 +341,40 @@ def test_validate_rejects_small_replications(tmp_path):
     assert "10000" in proc.stderr
 
 
-def test_validate_honours_explicit_step(tmp_path):
-    run_cli(
-        ["validate", "--params", "1.0,3.0,4.0", "--replications", "10000",
-         "--step", "0.005", "--out", "vs.csv"],
-        tmp_path,
-    )
-    comments, _, data = read_table(tmp_path / "vs.csv")
-    assert any("step=0.005" in c for c in comments)
-    assert data.shape[0] == 1
+def test_validate_has_no_step_option(tmp_path):
+    # The exact law is computed on horizon/4096 cells; there is no slot width to choose.
+    help_text = run_cli(["validate", "--help"], tmp_path).stdout
+    assert "--step" not in help_text
+    proc = run_cli(["validate", "--step", "0.005", "--out", "v.csv"], tmp_path, check=False)
+    assert proc.returncode == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "--seed", "-1", "--out", "x.csv"],
+        ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--lambda", "1", "--mu", "2",
+         "--horizon", "10", "--seed", "-1", "--out", "x.csv"],
+        ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--horizon", "10",
+         "--seed", "-1", "--out", "x.csv"],
+    ],
+    ids=["validate", "discharge-sampled", "discharge-continuous"],
+)
+def test_negative_seed_rejected_before_writing(tmp_path, args):
+    proc = run_cli(args, tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "--seed must be >= 0" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_route_rejects_negative_config_seed(tmp_path):
+    config = tmp_path / "neg.cfg"
+    config.write_text(DIAMOND.read_text().replace("seeds = 42", "seeds = -42"))
+    proc = run_cli(["route", "--config", str(config), "--out-dir", "r"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "scenario.seeds" in proc.stderr
+    assert not (tmp_path / "r").exists()
 
 
 # --- route ------------------------------------------------------------------------

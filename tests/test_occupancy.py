@@ -1,8 +1,9 @@
-"""Tests for the closed-form on-time law and the exact dynamic-programming oracle.
+"""Tests for the closed-form on-time law and the exact occupation-time law.
 
 Frozen expected values were computed beforehand with 30-digit mpmath
 arithmetic and independent quadrature; the quadrature oracles are repeated
-here at float precision via scipy.
+here at float precision via scipy.  The exact law is checked against a slot
+dynamic program, against scipy's Bessel functions and against Monte Carlo.
 """
 
 import math
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
-from scipy.integrate import quad, trapezoid
+from scipy import special, stats
+from scipy.integrate import quad
 
 from onoffnet.activity import NodeState, OnOffParams, monte_carlo_on_times
 from onoffnet.occupancy import (
@@ -20,6 +21,7 @@ from onoffnet.occupancy import (
     OccupancySpec,
     closed_form_gap,
     density_curve,
+    _on_start_density,
     doubling_edges,
     exact_occupation_distribution,
     mean_on_time,
@@ -207,6 +209,18 @@ def test_mean_sign_variant_diverges_at_small_gap():
         )
 
 
+@pytest.mark.parametrize(
+    "lam,t,expected",
+    [(1e8, 100.0, 1e-8), (1e300, 1e10, 1e-300), (1e-5, 1.0, 0.5 - 1e-5 / 12.0 + 1e-15 / 720.0)],
+)
+def test_mean_keeps_digits_for_negative_and_small_gaps(lam, t, expected):
+    # For x < 0 the mean is 1/|x| - t/(e^{|x| t} - 1); t - 1/x + t/(e^{x t} - 1)
+    # gave 9.99999372e-9 and 0.0 for the first two.  Near x = 0 the closed
+    # form cancels digits and the Taylor series t/2 + x t^2/12 - x^3 t^4/720
+    # takes over.
+    assert mean_on_time(spec_of(lam, 0.0, t)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_limits_continuity_across_singularity():
     # density, cdf and mean all converge to the uniform-case values at |x|=1e-6.
     t = 10.0
@@ -243,18 +257,10 @@ def test_quad_mass_and_mean(lam, mu, t):
     positive=st.booleans(),
 )
 def test_quad_mean_matches_closed_form_up_to_huge_gaps(t, log_gap, positive):
-    # |x|*t spans 1e-10 .. 1e6: the uniform limit, one panel, and a spike of
-    # width 1/|x| at either end of the window.  Between |x|*t = 1e-8 (where
-    # the uniform limit branch takes over) and 1e-4 the closed form cancels
-    # digits (3e-8 relative at 1e-8), so the oracle there is its Taylor
-    # series t/2 + x t^2/12 - x^3 t^4/720.
+    # |x|*t spans 1e-10 .. 1e6: the uniform limit, the Taylor branch of the
+    # mean, one panel, and a spike of width 1/|x| at either end of the window.
     spec = spec_of(0.0, 10.0 ** log_gap / t, t) if positive else spec_of(10.0 ** log_gap / t, 0.0, t)
-    x = spec.rate_gap
-    if 1e-8 <= abs(x) * t < 1e-4:
-        expected = t / 2.0 + x * t * t / 12.0 - x**3 * t**4 / 720.0
-    else:
-        expected = mean_on_time(spec)
-    assert density_quad(spec, lambda th: th) == pytest.approx(expected, rel=1e-9)
+    assert density_quad(spec, lambda th: th) == pytest.approx(mean_on_time(spec), rel=1e-9)
 
 
 def test_quad_breakpoint_resolves_kink():
@@ -275,19 +281,6 @@ def test_quad_breakpoint_resolves_kink():
 def test_curve_uniform_values():
     curve = density_curve(spec_of(1.0, 1.0, 1.0), 5)
     assert np.all(curve.values == 1.0)
-
-
-def test_curve_mass_is_one_when_well_resolved():
-    curve = density_curve(spec_of(0.0, 1.0, 1.0), 10_001)
-    assert curve.mass() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_curve_mass_matches_scipy_trapezoid_on_non_uniform_grid():
-    spec = spec_of(0.7, 1.9, 3.0)
-    grid = 3.0 * np.linspace(0.0, 1.0, 257) ** 2
-    values = on_time_density(spec, grid)
-    curve = DensityCurve(spec, grid, values)
-    assert curve.mass() == pytest.approx(float(trapezoid(values, grid)), rel=1e-14, abs=0.0)
 
 
 def test_curve_endpoint_ordering_in_rate_gap():
@@ -320,6 +313,102 @@ def test_curve_rejects_unsorted_grid():
 
 
 # --- exact occupation law ----------------------------------------------------
+
+
+def dp_occupation_pmf(spec: OccupancySpec, step: float, initial: NodeState) -> np.ndarray:
+    """Occupation-time pmf on the slot grid ``k*step`` by dynamic programming.
+
+    Time is cut into ``t/step`` slots; per slot the chain switches with
+    probability ``1 - exp(-lam*step)`` from ON and ``1 - exp(-mu*step)`` from
+    OFF, and the joint distribution over (current state, number of ON slots)
+    is propagated exactly.  It shares no arithmetic with the closed form of
+    the law and is off from it by O(step).
+    """
+    t = spec.horizon
+    n = int(round(t / step))
+    h = t / n
+    p = -math.expm1(-spec.params.lam * h)
+    q = -math.expm1(-spec.params.mu * h)
+    on = np.zeros(n + 1)
+    off = np.zeros(n + 1)
+    if initial is NodeState.ON:
+        on[0] = 1.0
+    else:
+        off[0] = 1.0
+    shifted = np.empty(n + 1)
+    for _ in range(n):
+        # An ON slot bumps the count by one before the end-of-slot transition.
+        shifted[0] = 0.0
+        shifted[1:] = on[:-1]
+        on, off = shifted * (1.0 - p) + off * q, shifted * p + off * (1.0 - q)
+    return on + off
+
+
+@pytest.mark.parametrize("slots", [1024, 4096])
+@pytest.mark.parametrize("initial", [NodeState.ON, NodeState.OFF], ids=["on", "off"])
+@pytest.mark.parametrize("lam,mu,t", [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0), (3.0, 3.0, 10.0)])
+def test_exact_law_matches_dp_oracle(lam, mu, t, initial, slots):
+    # The DP is off by O(step); both bounds were fixed at (lam+mu)*step
+    # before measuring, which gave 0.09-0.69 of step for TV and 0.13-0.94 of
+    # step for the mean.
+    spec = spec_of(lam, mu, t)
+    step = t / slots
+    law = exact_occupation_distribution(spec, step, initial)
+    dp = dp_occupation_pmf(spec, step, initial)
+    assert 0.5 * float(np.abs(dp - law.pmf).sum()) <= (lam + mu) * step
+    assert abs(float(np.dot(dp, law.on_times)) - law.mean) <= (lam + mu) * step
+
+
+@pytest.mark.parametrize("lam,mu,t", [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0), (3.0, 3.0, 10.0)])
+def test_exact_density_matches_bessel_form(lam, mu, t):
+    # lam e^{-a-b} I0(2 sqrt(ab)) + sqrt(lam mu s/(t-s)) e^{-a-b} I1(2 sqrt(ab)),
+    # with a = lam s and b = mu (t-s), through scipy's scaled Bessel functions.
+    s = np.linspace(0.0, t, 403)[1:-1]
+    a, b = lam * s, mu * (t - s)
+    z = 2.0 * np.sqrt(a * b)
+    scale = np.exp(z - a - b)
+    bessel = scale * (lam * special.i0e(z) + np.sqrt(lam * mu * s / (t - s)) * special.i1e(z))
+    assert _on_start_density(lam, mu, s, t - s) == pytest.approx(bessel, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.0, 10.0), mu=st.floats(0.0, 10.0), t=st.floats(0.1, 10.0))
+def test_exact_law_is_normalised_and_mirrors_under_rate_swap(lam, mu, t):
+    spec, swapped = spec_of(lam, mu, t), spec_of(mu, lam, t)
+    on = exact_occupation_distribution(spec, t / 1024, NodeState.ON)
+    off = exact_occupation_distribution(spec, t / 1024, NodeState.OFF)
+    assert float(on.pmf.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(on.pmf >= 0.0)
+    mirror = exact_occupation_distribution(swapped, t / 1024, NodeState.ON)
+    assert off.pmf.tolist() == mirror.pmf[::-1].tolist()
+    assert off.mean == pytest.approx(t - mirror.mean, rel=1e-12, abs=1e-12 * t)
+    assert (off.atom_zero, off.atom_full) == (mirror.atom_full, mirror.atom_zero)
+
+
+@pytest.mark.parametrize("initial", [NodeState.ON, NodeState.OFF], ids=["on", "off"])
+@pytest.mark.parametrize("lam,mu,t", [(0.0, 1e8, 100.0), (50.0, 80.0, 20.0)])
+def test_exact_law_keeps_mass_at_spikes_and_large_rates(lam, mu, t, initial):
+    # (0, 1e8, 100) from OFF is a spike of width 1e-8 at T = t, inside one
+    # cell; (50, 80, 20) sums about 850 Poisson terms per point.
+    law = exact_occupation_distribution(spec_of(lam, mu, t), t / 4096, initial)
+    assert float(law.pmf.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(law.pmf >= 0.0)
+    assert abs(float(np.dot(law.pmf, law.on_times)) - law.mean) <= t / 4096
+
+
+@pytest.mark.parametrize("rate", [0.0, 5e-324, 1e-300])
+def test_exact_law_mean_and_atoms_at_vanishing_rates(rate):
+    # Neither start state ever switches: T = t from ON, T = 0 from OFF.
+    spec = spec_of(rate, rate, 2.0)
+    on = exact_occupation_distribution(spec, 2.0 / 4096, NodeState.ON)
+    off = exact_occupation_distribution(spec, 2.0 / 4096, NodeState.OFF)
+    assert (on.mean, on.atom_full, on.pmf[-1]) == (2.0, 1.0, 1.0)
+    assert (off.mean, off.atom_zero, off.pmf[0]) == (0.0, 1.0, 1.0)
+
+
+def test_exact_law_rejects_rates_beyond_its_term_budget():
+    with pytest.raises(ValueError, match="too large"):
+        exact_occupation_distribution(spec_of(200.0, 200.0, 100.0), 100.0 / 4096)
 
 
 def test_exact_law_absorbing_on_puts_all_mass_at_horizon():

@@ -115,6 +115,18 @@ def test_config_rejects_non_finite_codec_bound(tmp_path):
     assert [e for e in excinfo.value.errors if e.startswith("codec:") and "d_max" in e]
 
 
+@pytest.mark.parametrize(
+    "line,field",
+    [("seeds = 3 -1", "scenario.seeds:"), ("seed = -1", "scenario.seed:"), ("seed = -2\nreplications = 3", "scenario.seed:")],
+    ids=["seeds", "seed", "seed-replications"],
+)
+def test_config_rejects_negative_seed(tmp_path, line, field):
+    path = write_config(tmp_path, PAIR_TEMPLATE.replace("seeds = 3", line))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(path)
+    assert [e for e in excinfo.value.errors if e.startswith(field) and ">= 0" in e]
+
+
 def test_config_rejects_unknown_section(tmp_path):
     path = write_config(tmp_path, PAIR_TEMPLATE + "\n[extras]\nfoo = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
