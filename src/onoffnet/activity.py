@@ -7,20 +7,23 @@ probability ``exp(-rate * d)``.  A sampled path is an alternating sequence of
 timed segments tiling ``[0, horizon]``; the total time spent ON over the
 window is the random quantity whose law :mod:`onoffnet.occupancy` describes.
 
-Sampling draws from numpy's PCG64 generator with the seed passed explicitly,
-so every trajectory is a pure function of its arguments.  ``GENERATOR_ID`` is
-recorded in output file headers so archived runs name the bit stream they
-were produced with.  All sampling goes through one core, the private
-generator ``_sojourns``: ``sample_trajectory`` builds validated segments from
-its sojourns, while ``sample_on_time`` (used by ``monte_carlo_on_times`` and
-the scenario loop) keeps only the total ON time and the final state of the
-same path.
+Sampling draws from numpy's PCG64 generator.  Every sojourn is
+``rng.standard_exponential() / rate`` from a long-lived ``Generator``, and a
+draw that comes out zero is drawn again.  ``GENERATOR_ID`` is recorded in
+output file headers so archived runs name the bit stream they were produced
+with.  One path is drawn by the private generator ``_sojourns``:
+``sample_trajectory`` seeds a generator and builds validated segments from
+its sojourns, while ``sample_on_time`` (used by the scenario loop, one
+generator per node) keeps only the total ON time and the final state of the
+same path.  ``monte_carlo_on_times`` steps all of its paths together, one
+array of draws per sojourn, from one generator; with a single path it
+consumes the stream exactly as ``sample_on_time`` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -76,11 +79,14 @@ class Trajectory:
 
     Construction validates the tiling (first start 0, contiguous starts, total
     duration equal to the horizon within ``1e-12`` relative), strict state
-    alternation and strictly positive durations.
+    alternation and strictly positive durations.  ``on_time_before[i]`` is
+    the ON time accrued before segment ``i``: each ON segment adds
+    ``(start + duration) - start``, left to right.
     """
 
     horizon: float
     segments: tuple[Segment, ...]
+    on_time_before: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -91,6 +97,8 @@ class Trajectory:
         if abs(self.segments[0].start) > tol:
             raise ValueError("first segment must start at 0")
         expected_start = 0.0
+        on_time = 0.0
+        on_time_before = []
         for i, seg in enumerate(self.segments):
             if seg.duration <= 0.0:
                 raise ValueError(f"segment {i} has non-positive duration {seg.duration!r}")
@@ -98,9 +106,13 @@ class Trajectory:
                 raise ValueError(f"segment {i} does not continue the previous one")
             if i > 0 and seg.state is self.segments[i - 1].state:
                 raise ValueError(f"segments {i - 1} and {i} do not alternate states")
+            on_time_before.append(on_time)
             expected_start = seg.start + seg.duration
+            if seg.state is NodeState.ON:
+                on_time += expected_start - seg.start
         if abs(expected_start - self.horizon) > tol:
             raise ValueError("segments do not tile the horizon")
+        object.__setattr__(self, "on_time_before", tuple(on_time_before))
 
     def csv_rows(self) -> list[str]:
         """Rows ``segment_index,state,start,duration`` (no header)."""
@@ -110,21 +122,23 @@ class Trajectory:
         ]
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+
+
 def _sojourns(
     params: OnOffParams,
     initial: NodeState,
     horizon: float,
-    seed: int,
+    rng: np.random.Generator,
 ) -> Iterator[tuple[NodeState, float, float]]:
     """Yield ``(state, start, duration)`` for each sojourn tiling ``[0, horizon]``.
 
-    The single sampling core: every sampled path, and so every seeded bit
-    stream, comes from this loop.  The law is described in
-    ``sample_trajectory``.
+    The scalar sampling loop; ``monte_carlo_on_times`` is its batched twin.
+    The law is described in ``sample_trajectory``.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    rng = np.random.default_rng(seed)
+    _check_horizon(horizon)
     state = initial
     elapsed = 0.0
     while elapsed < horizon:
@@ -134,8 +148,7 @@ def _sojourns(
             return
         duration = 0.0
         while duration <= 0.0:
-            # 1 - random() lies in (0, 1], keeping log() finite.
-            duration = -math.log(1.0 - rng.random()) / rate
+            duration = rng.standard_exponential() / rate
         if elapsed + duration >= horizon:
             yield state, elapsed, horizon - elapsed
             return
@@ -156,7 +169,8 @@ def sample_trajectory(
     state; the final sojourn is clipped at the horizon (censored, not
     resampled).  Deterministic in ``(params, initial, horizon, seed)``.
     """
-    segments = tuple(Segment(*sojourn) for sojourn in _sojourns(params, initial, horizon, seed))
+    rng = np.random.default_rng(seed)
+    segments = tuple(Segment(*sojourn) for sojourn in _sojourns(params, initial, horizon, rng))
     return Trajectory(horizon, segments)
 
 
@@ -164,17 +178,17 @@ def sample_on_time(
     params: OnOffParams,
     initial: NodeState,
     horizon: float,
-    seed: int,
+    rng: np.random.Generator,
 ) -> tuple[float, NodeState]:
-    """Total ON time and final state of the path ``sample_trajectory`` draws.
+    """Total ON time and final state of one path drawn from ``rng``.
 
     Equal, bit for bit, to ``total_on_time(t)`` and ``t.segments[-1].state``
-    for ``t = sample_trajectory(params, initial, horizon, seed)``, without
-    building or validating the segments.
+    for ``t = sample_trajectory(params, initial, horizon, seed)`` when ``rng``
+    is ``default_rng(seed)``, without building or validating the segments.
     """
     on_time = 0.0
     state = initial
-    for state, _, duration in _sojourns(params, initial, horizon, seed):
+    for state, _, duration in _sojourns(params, initial, horizon, rng):
         if state is NodeState.ON:
             on_time += duration
     return on_time, state
@@ -203,10 +217,36 @@ def monte_carlo_on_times(
 ) -> np.ndarray:
     """Total ON times of ``n_runs`` independent trajectories.
 
-    Per-run seeds are derived from ``base_seed`` through a SeedSequence, so
-    the whole batch is reproducible from a single integer.
+    All paths are drawn from one ``default_rng(base_seed)``.  They start in
+    the same state and alternate in lockstep, so every unfinished path shares
+    the current leaving rate: each sojourn is one array of draws, clipped at
+    the horizon, after which the finished paths drop out.  Arithmetic per
+    path is that of ``sample_on_time``, and ``n_runs=1`` gives its value.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
-    seeds = np.random.SeedSequence(base_seed).generate_state(n_runs, dtype=np.uint64)
-    return np.array([sample_on_time(params, initial, horizon, int(s))[0] for s in seeds])
+    _check_horizon(horizon)
+    rng = np.random.default_rng(base_seed)
+    on_times = np.empty(n_runs)
+    paths = np.arange(n_runs)  # indices of the unfinished paths
+    elapsed = np.zeros(n_runs)
+    on_time = np.zeros(n_runs)
+    state = initial
+    while paths.size:
+        rate = params.leaving_rate(state)
+        if rate == 0.0:
+            on_times[paths] = on_time + (horizon - elapsed) if state is NodeState.ON else on_time
+            break
+        duration = rng.standard_exponential(paths.size) / rate
+        redraw = np.flatnonzero(duration <= 0.0)
+        while redraw.size:
+            duration[redraw] = rng.standard_exponential(redraw.size) / rate
+            redraw = redraw[duration[redraw] <= 0.0]
+        done = elapsed + duration >= horizon
+        if state is NodeState.ON:
+            on_time += np.where(done, horizon - elapsed, duration)
+        on_times[paths[done]] = on_time[done]
+        running = ~done
+        paths, elapsed, on_time = paths[running], (elapsed + duration)[running], on_time[running]
+        state = state.other
+    return on_times

@@ -15,6 +15,7 @@ discharge.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -116,15 +117,23 @@ def advance(state: BatteryState, on_time: float) -> BatteryState:
 
 
 def active_time_at(traj: Trajectory, wall_time: float) -> float:
-    """Cumulative ON time accrued by wall-clock ``wall_time`` within the trajectory."""
+    """Cumulative ON time accrued by wall-clock ``wall_time`` within the trajectory.
+
+    Bisects for the last segment starting before ``wall_time`` and adds its
+    overlap to the ON time accrued before it; O(log segments).  When every
+    start is the previous start plus its duration, as in sampled and scripted
+    trajectories, this is bit for bit the left-to-right sum of each ON
+    segment's overlap with ``[0, wall_time]``.
+    """
     if not 0.0 <= wall_time <= traj.horizon:
         raise ValueError(f"wall_time must lie in [0, {traj.horizon}]")
-    active = 0.0
-    for seg in traj.segments:
-        if seg.state is NodeState.ON:
-            overlap = min(wall_time, seg.start + seg.duration) - seg.start
-            if overlap > 0.0:
-                active += overlap
+    i = bisect.bisect_left(traj.segments, wall_time, key=lambda seg: seg.start) - 1
+    if i < 0:
+        return 0.0
+    seg = traj.segments[i]
+    active = traj.on_time_before[i]
+    if seg.state is NodeState.ON:
+        active += min(wall_time, seg.start + seg.duration) - seg.start
     return active
 
 

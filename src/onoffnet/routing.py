@@ -154,10 +154,21 @@ class NetworkGraph:
         return list(self._adjacency[node_id])
 
     def drop_node(self, node_id: str) -> "NetworkGraph":
-        """Graph with the node and all its links removed (e.g. on battery death)."""
+        """Graph with the node and all its links removed (e.g. on battery death).
+
+        Only the dead node's neighbours' lists are rebuilt; they stay sorted.
+        """
         if node_id not in self.nodes:
             raise ValueError(f"unknown node {node_id!r}")
-        return NetworkGraph(self.nodes - {node_id}, frozenset(link for link in self.links if node_id not in link))
+        adjacency = dict(self._adjacency)
+        dropped = adjacency.pop(node_id)
+        for nbr in dropped:
+            adjacency[nbr] = tuple(n for n in adjacency[nbr] if n != node_id)
+        graph = object.__new__(NetworkGraph)
+        object.__setattr__(graph, "nodes", self.nodes - {node_id})
+        object.__setattr__(graph, "links", self.links - {frozenset((node_id, nbr)) for nbr in dropped})
+        object.__setattr__(graph, "_adjacency", adjacency)
+        return graph
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ rule) and decode the rest into their energy tables; configured route queries
 are then answered from the current tables.  A node whose residual energy
 falls to the exhaustion threshold dies and leaves the topology.
 
-Everything is iterated in sorted node order and seeded per (seed, round,
-node), so a run is a pure function of (config, seed): identical inputs give
-byte-identical event logs.
+Everything is iterated in sorted node order.  Each node draws its activity
+from its own generator, seeded once per run by (seed, node index in sorted
+order), so a node's draws do not depend on other nodes' deaths and a run is a
+pure function of (config, seed): identical inputs give byte-identical event
+logs.
 """
 
 from __future__ import annotations
@@ -243,10 +245,6 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     )
 
 
-def _trajectory_seed(seed: int, round_index: int, node_index: int) -> int:
-    return int(np.random.SeedSequence((seed, round_index, node_index)).generate_state(1)[0])
-
-
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
     """Run one replication; returns the event log and summary metrics.
 
@@ -257,7 +255,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     if seed is None:
         seed = config.seeds[0]
     node_ids = sorted(config.nodes)
-    node_index = {nid: i for i, nid in enumerate(node_ids)}
+    rngs = {nid: np.random.default_rng((seed, i)) for i, nid in enumerate(node_ids)}
     battery = {nid: BatteryState.fresh(config.nodes[nid].model) for nid in node_ids}
     chain_state = {nid: NodeState.ON for nid in node_ids}
     tables: dict[str, EnergyTable] = {nid: EnergyTable() for nid in node_ids}
@@ -296,7 +294,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 config.nodes[nid].activity,
                 chain_state[nid],
                 config.hello_period,
-                _trajectory_seed(seed, round_index, node_index[nid]),
+                rngs[nid],
             )
             battery[nid] = advance(battery[nid], on_time)
         check_deaths(now)

@@ -79,6 +79,13 @@ def test_sample_rejects_nonpositive_horizon():
         sample_trajectory(OnOffParams(1.0, 1.0), NodeState.ON, 0.0, 3)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_monte_carlo_rejects_bad_horizon(horizon):
+    # The batched loop would never finish a path on a NaN horizon.
+    with pytest.raises(ValueError):
+        monte_carlo_on_times(OnOffParams(1.0, 1.0), NodeState.ON, horizon, 10, 3)
+
+
 def test_sample_deterministic_in_seed():
     p = OnOffParams(1.3, 0.6)
     a = sample_trajectory(p, NodeState.ON, 25.0, 123)
@@ -172,16 +179,32 @@ _RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, seed):
     params = OnOffParams(lam, mu)
     traj = sample_trajectory(params, initial, horizon, seed)
-    assert sample_on_time(params, initial, horizon, seed) == (
+    assert sample_on_time(params, initial, horizon, np.random.default_rng(seed)) == (
         total_on_time(traj),
         traj.segments[-1].state,
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=_RATES,
+    mu=_RATES,
+    initial=st.sampled_from(NodeState),
+    horizon=st.floats(min_value=1e-3, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_single_monte_carlo_run_is_the_scalar_path(lam, mu, initial, horizon, seed):
+    # The batched loop, at one path, consumes the stream as the scalar one does.
+    params = OnOffParams(lam, mu)
+    batched = monte_carlo_on_times(params, initial, horizon, 1, seed)
+    assert batched[0] == sample_on_time(params, initial, horizon, np.random.default_rng(seed))[0]
+
+
 def test_monte_carlo_bit_stream_is_pinned():
-    # Recorded before Monte Carlo stopped building trajectories; any change to
-    # the draws, their order, the clipping or the summation moves this hash.
+    # Recorded when Monte Carlo began drawing all paths from one generator;
+    # any change to the draws, their order, the clipping or the summation
+    # moves this hash.
     runs = monte_carlo_on_times(OnOffParams(1.0, 3.0), NodeState.ON, 4.0, 2000, 7)
     assert hashlib.sha256(runs.tobytes()).hexdigest() == (
-        "2fd6026da43003020ae3e9ce630a409bc8a256b7c963648cf570c3dc72c35b96"
+        "eab82891f9d3e9830365e26f9c2a27786adac10258e844b99aac79babf5c5a6a"
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from onoffnet.activity import NodeState, OnOffParams, Segment, Trajectory, sample_trajectory, total_on_time
@@ -189,6 +191,51 @@ def test_active_time_at_walks_the_plateaus():
     assert active_time_at(traj, 4.0) == 2.0
     with pytest.raises(ValueError):
         active_time_at(traj, 4.5)
+
+
+def active_time_oracle(traj, wall_time):
+    """Reference walk: each ON segment's overlap with ``[0, wall_time]``, added left to right."""
+    active = 0.0
+    for seg in traj.segments:
+        if seg.state is NodeState.ON:
+            overlap = min(wall_time, seg.start + seg.duration) - seg.start
+            if overlap > 0.0:
+                active += overlap
+    return active
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    first=st.sampled_from(NodeState),
+    durations=st.lists(
+        st.floats(min_value=1e-9, max_value=50.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_active_time_at_equals_segment_walk(data, first, durations):
+    # Starts telescope, as in every trajectory sample_trajectory and
+    # --segments build: each start is the previous start plus its duration.
+    segments = []
+    start = 0.0
+    state = first
+    for duration in durations:
+        segments.append(Segment(state, start, duration))
+        start += duration
+        state = state.other
+    traj = Trajectory(start, tuple(segments))
+    edges = [seg.start for seg in segments] + [seg.start + seg.duration for seg in segments]
+    inside = data.draw(st.lists(st.floats(min_value=0.0, max_value=start), max_size=20))
+    for wall_time in [w for w in edges if w <= start] + inside:
+        assert active_time_at(traj, wall_time) == active_time_oracle(traj, wall_time)
+
+
+def test_active_time_at_equals_segment_walk_on_a_long_sampled_trace():
+    traj = sample_trajectory(OnOffParams(1.0, 2.0), NodeState.ON, 500.0, 1)
+    times = np.unique(np.concatenate([np.linspace(0.0, 500.0, 500), [s.start for s in traj.segments]]))
+    for wall_time in times:
+        assert active_time_at(traj, float(wall_time)) == active_time_oracle(traj, float(wall_time))
 
 
 def test_advance_accumulates_functionally():

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onoffnet.routing import (
     EnergyTable,
@@ -218,6 +220,25 @@ def test_graph_drop_node():
         reduced.neighbors("B")
     assert graph.neighbors("A") == ["B"]  # original untouched
     assert graph.neighbors("B") == ["A", "C"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_nodes=st.integers(min_value=1, max_value=12))
+def test_graph_after_drops_equals_graph_built_from_scratch(data, n_nodes):
+    ids = [f"N{i:02d}" for i in range(n_nodes)]
+    pairs = list(itertools.combinations(ids, 2))
+    links = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    order = data.draw(st.permutations(ids))
+    drops = order[: data.draw(st.integers(min_value=0, max_value=n_nodes))]
+    graph = make_graph(ids, links)
+    for nid in drops:
+        graph = graph.drop_node(nid)
+    alive = [nid for nid in ids if nid not in drops]
+    fresh = make_graph(alive, [pair for pair in links if not set(pair) & set(drops)])
+    assert graph.nodes == fresh.nodes
+    assert graph.links == fresh.links
+    for nid in alive:
+        assert graph.neighbors(nid) == fresh.neighbors(nid)
 
 
 def test_graph_neighbors_sorted_whatever_the_link_order():

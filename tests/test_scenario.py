@@ -215,7 +215,7 @@ routes = A:C
     assert result.metrics["delivered_routes"] == 1.0
 
 
-# Output lock: relay B dies in round 4, which cuts A off from F; C and D beacon
+# Output lock: relay B dies in round 3, which cuts A off from F; C and D beacon
 # in the same slot at E every round; A reaches E through C throughout.
 LOCK_CONFIG = """
 [scenario]
@@ -233,7 +233,7 @@ slots = 16
 
 [nodes]
 A = k=0.001 tau=100 capacity=10 f_init=0.1 lambda=0.5 mu=1.0
-B = k=0.3 tau=5 capacity=1 f_init=0.0 lambda=0.5 mu=0.5
+B = k=0.3 tau=5 capacity=1 f_init=0.0 lambda=0.0 mu=0.5
 C = k=0.001 tau=100 capacity=10 f_init=0.2 lambda=0.0 mu=1.0
 D = k=0.001 tau=100 capacity=10 f_init=0.2 lambda=0.0 mu=1.0
 E = k=0.001 tau=100 capacity=10 f_init=0.3 lambda=1.0 mu=1.0
@@ -249,20 +249,39 @@ routes = A:F A:E
 
 def test_output_lock(tmp_path):
     # Pins the exact bytes of one run; a refactor of the event loop or of
-    # route selection must leave both digests unchanged.
+    # route selection must leave both digests unchanged.  B never leaves ON
+    # (lambda=0), so its death, and the routes it cuts, do not depend on the
+    # bit stream.
     result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
     events = "\n".join(result.events)
-    assert "8.0,death,B," in events
+    assert "6.0,death,B," in events
     assert ",collision,E,slot=12;senders=C|D" in events
-    assert "8.0,route,A,dst=F;path=none" in events
-    assert "2.0,route,A,dst=F;path=A>B>F;cost=2.6" in events
+    assert "6.0,route,A,dst=F;path=none" in events
+    assert "2.0,route,A,dst=F;path=A>B>F;cost=2.7" in events
     metrics = "\n".join(f"{key},{value!r}" for key, value in result.metrics.items())
     assert hashlib.sha256(events.encode()).hexdigest() == (
-        "cd7fe11cc3f8d3d3caadedf93dc784715c07dadc53243b1b1798732035733750"
+        "65d08c6aa4d5db09f3e1fd874f560e17b14887ea0bedd01dcc9e2a3e760fe082"
     )
     assert hashlib.sha256(metrics.encode()).hexdigest() == (
-        "2ff2cbd7ec1821050baf9ededb423bcaebfa68ed67cffa595e2bbdf0cb13238c"
+        "b9b52396103ffd4a05f7b527eb4b230b7e10f97143c83b3b216760cfa3781b70"
     )
+
+
+def test_node_draws_do_not_depend_on_other_deaths(tmp_path):
+    # A, first in sorted order, gets a tiny capacity and dies early; every
+    # other node keeps its own generator, so its beacons do not move.
+    drained = LOCK_CONFIG.replace(
+        "A = k=0.001 tau=100 capacity=10 ", "A = k=0.001 tau=100 capacity=0.001 "
+    )
+    assert drained != LOCK_CONFIG
+    base = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
+    changed = run_scenario(load_scenario_config(write_config(tmp_path, drained)))
+    assert not any(",death,A," in e for e in base.events)
+    assert any(e.startswith("2.0,death,A,") for e in changed.events)
+    for nid in "CDEF":
+        hellos = [e for e in base.events if f",hello,{nid}," in e]
+        assert len(hellos) == 6
+        assert [e for e in changed.events if f",hello,{nid}," in e] == hellos
 
 
 def test_period_longer_than_horizon_yields_nothing(tmp_path):
