@@ -11,13 +11,13 @@ Sampling draws from numpy's PCG64 generator.  Every sojourn is
 ``rng.standard_exponential() / rate`` from a long-lived ``Generator``, and a
 draw that comes out zero is drawn again.  ``GENERATOR_ID`` is recorded in
 output file headers so archived runs name the bit stream they were produced
-with.  One path is drawn by the private generator ``_sojourns``:
-``sample_trajectory`` seeds a generator and builds validated segments from
-its sojourns, while ``sample_on_time`` (used by the scenario loop, one
-generator per node) keeps only the total ON time and the final state of the
-same path.  ``monte_carlo_on_times`` steps all of its paths together, one
-array of draws per sojourn, from one generator; with a single path it
-consumes the stream exactly as ``sample_on_time`` does.
+with.  One path is drawn by the private generator ``_sojourns`` from an
+``exponential_stream``, which draws in blocks the values scalar calls give.
+``sample_trajectory`` seeds a stream and builds validated segments from its
+sojourns, while ``sample_on_time`` (used by the scenario loop, one stream per
+node) keeps only the total ON time and the final state of the same path.  ``monte_carlo_on_times`` steps all of its
+paths together, one array of draws per sojourn, from one generator; with a
+single path it consumes the stream exactly as ``sample_on_time`` does.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ GENERATOR_ID = "numpy-pcg64"
 # Tolerance for the tiling checks below; segment arithmetic is carried out in
 # float64, so consecutive starts can drift by a few ulps from exact telescoping.
 _TILE_TOL = 1e-12
+
+# Draws per refill of an exponential stream.  A node keeps at most this many
+# unread floats; larger blocks add little speed and grow the scenario's memory.
+_BLOCK = 32
 
 
 class NodeState(Enum):
@@ -127,34 +131,46 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
 
 
+def exponential_stream(rng: np.random.Generator) -> Iterator[float]:
+    """Standard exponential draws from ``rng``, refilled ``_BLOCK`` at a time.
+
+    Yields, as Python floats, exactly the values of repeated scalar
+    ``rng.standard_exponential()`` calls in their order, at a fraction of
+    the cost; ``rng`` runs up to ``_BLOCK - 1`` draws ahead of the reader.
+    """
+    while True:
+        yield from rng.standard_exponential(_BLOCK).tolist()
+
+
 def _sojourns(
     params: OnOffParams,
     initial: NodeState,
     horizon: float,
-    rng: np.random.Generator,
+    draws: Iterator[float],
 ) -> Iterator[tuple[NodeState, float, float]]:
     """Yield ``(state, start, duration)`` for each sojourn tiling ``[0, horizon]``.
 
-    The scalar sampling loop; ``monte_carlo_on_times`` is its batched twin.
-    The law is described in ``sample_trajectory``.
+    The scalar sampling loop, reading standard exponentials from ``draws``;
+    ``monte_carlo_on_times`` is its batched twin.  The law is described in
+    ``sample_trajectory``.
     """
     _check_horizon(horizon)
-    state = initial
+    state, other = initial, initial.other
+    rate, other_rate = params.leaving_rate(state), params.leaving_rate(other)
     elapsed = 0.0
     while elapsed < horizon:
-        rate = params.leaving_rate(state)
         if rate == 0.0:
             yield state, elapsed, horizon - elapsed
             return
         duration = 0.0
         while duration <= 0.0:
-            duration = rng.standard_exponential() / rate
+            duration = next(draws) / rate
         if elapsed + duration >= horizon:
             yield state, elapsed, horizon - elapsed
             return
         yield state, elapsed, duration
         elapsed += duration
-        state = state.other
+        state, other, rate, other_rate = other, state, other_rate, rate
 
 
 def sample_trajectory(
@@ -169,8 +185,8 @@ def sample_trajectory(
     state; the final sojourn is clipped at the horizon (censored, not
     resampled).  Deterministic in ``(params, initial, horizon, seed)``.
     """
-    rng = np.random.default_rng(seed)
-    segments = tuple(Segment(*sojourn) for sojourn in _sojourns(params, initial, horizon, rng))
+    draws = exponential_stream(np.random.default_rng(seed))
+    segments = tuple(Segment(*sojourn) for sojourn in _sojourns(params, initial, horizon, draws))
     return Trajectory(horizon, segments)
 
 
@@ -178,17 +194,18 @@ def sample_on_time(
     params: OnOffParams,
     initial: NodeState,
     horizon: float,
-    rng: np.random.Generator,
+    draws: Iterator[float],
 ) -> tuple[float, NodeState]:
-    """Total ON time and final state of one path drawn from ``rng``.
+    """Total ON time and final state of one path read from ``draws``.
 
     Equal, bit for bit, to ``total_on_time(t)`` and ``t.segments[-1].state``
-    for ``t = sample_trajectory(params, initial, horizon, seed)`` when ``rng``
-    is ``default_rng(seed)``, without building or validating the segments.
+    for ``t = sample_trajectory(params, initial, horizon, seed)`` when
+    ``draws`` is ``exponential_stream(default_rng(seed))``, without building
+    or validating the segments.
     """
     on_time = 0.0
     state = initial
-    for state, _, duration in _sojourns(params, initial, horizon, rng):
+    for state, _, duration in _sojourns(params, initial, horizon, draws):
         if state is NodeState.ON:
             on_time += duration
     return on_time, state

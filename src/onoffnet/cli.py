@@ -23,6 +23,11 @@ import os
 import sys
 from pathlib import Path
 
+# No onoffnet code calls BLAS, yet OpenBLAS starts a worker-thread pool when
+# numpy loads, costing every command start-up time and CPU; one thread means no
+# pool.  A caller's own value is kept, and library users keep numpy's default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -35,6 +40,7 @@ from .occupancy import (
     exact_occupation_distribution,
     mean_on_time,
     quad,
+    sorted_distinct,
 )
 from .scenario import ConfigError, aggregate_metrics, load_scenario_config, run_scenario
 
@@ -159,7 +165,7 @@ def cmd_discharge(args: argparse.Namespace) -> None:
     if traj is not None:
         # Include segment boundaries so plateaus land exactly on the grid.
         bounds = [seg.start for seg in traj.segments] + [horizon]
-        times = np.unique(np.concatenate([times, np.asarray(bounds)]))
+        times = sorted_distinct(times, bounds)
 
     mode = "continuous" if traj is None else ("scripted" if args.segments else "sampled")
     lines = [

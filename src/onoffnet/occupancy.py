@@ -123,8 +123,9 @@ def _check_theta(theta: np.ndarray, horizon: float) -> None:
 
 
 def _density_positive_gap(x: float, t: float, theta: np.ndarray) -> np.ndarray:
-    # x > 0; exponents are all <= 0 so this never overflows.
-    return x * np.exp(x * (theta - t)) / -math.expm1(-x * t)
+    # x > 0; exponents are <= 0 (-inf, where x*t overflows), so exp() never overflows.
+    with np.errstate(over="ignore"):
+        return x * np.exp(x * (theta - t)) / -math.expm1(-x * t)
 
 
 def on_time_density(spec: OccupancySpec, theta):
@@ -158,14 +159,16 @@ def on_time_cdf(spec: OccupancySpec, theta):
     t = spec.horizon
     _check_theta(arr, t)
     x = spec.rate_gap
-    if abs(x) * t < _LIMIT_EPS:
-        out = arr / t
-    elif x > 0.0:
-        out = np.exp(x * (arr - t)) * np.expm1(-x * arr) / math.expm1(-x * t)
-    else:
-        # Mirror: F(theta; x) = 1 - F(t - theta; -x).
-        mirrored = t - arr
-        out = 1.0 - np.exp(-x * (mirrored - t)) * np.expm1(x * mirrored) / math.expm1(x * t)
+    # Exponents that overflow to -inf, where x*t does, give exp() = 0 and expm1() = -1.
+    with np.errstate(over="ignore"):
+        if abs(x) * t < _LIMIT_EPS:
+            out = arr / t
+        elif x > 0.0:
+            out = np.exp(x * (arr - t)) * np.expm1(-x * arr) / math.expm1(-x * t)
+        else:
+            # Mirror: F(theta; x) = 1 - F(t - theta; -x).
+            mirrored = t - arr
+            out = 1.0 - np.exp(-x * (mirrored - t)) * np.expm1(x * mirrored) / math.expm1(x * t)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -200,6 +203,20 @@ def doubling_edges(scale: float, length: float) -> np.ndarray:
     return edges[edges < length]
 
 
+def sorted_distinct(*parts) -> np.ndarray:
+    """The distinct values of ``parts`` in increasing order: ``np.unique(np.concatenate(parts))``.
+
+    The same sort-then-compare-neighbours algorithm, and so the same bytes,
+    but without ``np.unique``'s ``np.ma.is_masked`` check, which imports
+    ``numpy.ma`` (about 15 ms) into every command that merges grids.
+    """
+    values = np.sort(np.concatenate(parts, axis=None))
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     """``E[g(T)]``, the integral of ``g(theta) * f(theta)`` over ``[0, t]``.
 
@@ -213,14 +230,16 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     # Work in the depth below the peak end, so no digits go to t - depth there.
     edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
     cuts = [t - b if x > 0.0 else b for b in breakpoints if 0.0 < b < t]
-    edges = np.unique(np.concatenate([edges, cuts, [t]]))
+    edges = sorted_distinct(edges, cuts, [t])
     nodes, weights = _gauss_rule(32)
     half = np.diff(edges)[:, None] / 2.0
     depth = edges[:-1, None] + half * (1.0 + nodes)
     if rate * t < _LIMIT_EPS:
         density = 1.0 / t
     else:
-        density = rate * np.exp(-rate * depth) / -math.expm1(-rate * t)
+        # rate*depth may overflow to inf, where exp() rightly gives 0.
+        with np.errstate(over="ignore"):
+            density = rate * np.exp(-rate * depth) / -math.expm1(-rate * t)
     theta = t - depth if x > 0.0 else depth
     return float(np.sum(half * weights * density * g(theta)))
 
@@ -274,11 +293,13 @@ class OccupationLaw:
 
 def _on_start_mean(lam: float, mu: float, t: float) -> float:
     """``E[T]`` from an ON start: ``mu t/(lam+mu) + lam (1 - e^{-(lam+mu) t})/(lam+mu)^2``."""
+    if lam == 0.0:
+        return t  # never leaves ON
     total = lam + mu
-    if total == 0.0:
-        return t
-    # (1 - e^{-z})/z with z = (lam+mu) t, formed so that tiny rates do not underflow.
     z = total * t
+    if math.isinf(z):  # e^{-z} is 0; dividing first keeps t*mu from overflowing
+        return mu / total * t + lam / total / total
+    # (1 - e^{-z})/z with z = (lam+mu) t, formed so that tiny rates do not underflow.
     ratio = -math.expm1(-z) / z if z > 0.0 else 1.0
     return t * (mu + lam * ratio) / total
 
@@ -293,8 +314,15 @@ def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np
     most 0, so nothing overflows and no partial factor underflows; and
     ``pi_{j+1}(a) = pi_j(a) a/(j+1)`` gives the second sum from the first.
     Both ``s`` and ``r`` are passed so that neither is computed as a
-    difference of nearby values.
+    difference of nearby values.  A zero rate leaves one term: ``lam e^{-a}``
+    when ``mu = 0``, and nothing when ``lam = 0``; these are taken directly,
+    so that an ``a`` or ``b`` that overflows cannot turn ``0 * inf`` into NaN.
     """
+    if lam == 0.0:
+        return np.zeros_like(s)
+    if mu == 0.0:
+        with np.errstate(over="ignore"):
+            return lam * np.exp(-lam * s)
     a, b = lam * s, mu * r
     # The products peak at j = sqrt(a*b) with width about sqrt(sqrt(a*b)); past
     # 8 widths, or 16 terms when the peak is small, they drop below 1e-20.
@@ -345,7 +373,7 @@ def exact_occupation_distribution(
     # and neither s nor t - s loses digits to a subtraction.
     edges = np.concatenate([[0.0], (np.arange(n // 2) + 0.5) * h, [t / 2.0]])
     rate = max(lam, mu)
-    panels = np.union1d(edges, doubling_edges(1.0 / rate, t / 2.0)) if rate * t > 1.0 else edges
+    panels = sorted_distinct(edges, doubling_edges(1.0 / rate, t / 2.0)) if rate * t > 1.0 else edges
     nodes, weights = _gauss_rule(12)
     half = np.diff(panels)[:, None] / 2.0
     near = (panels[:-1, None] + half * (1.0 + nodes)).ravel()

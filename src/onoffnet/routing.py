@@ -57,7 +57,8 @@ def encode_slot(codec: HelloCodec, residual: float) -> int:
 def encode_delay(codec: HelloCodec, residual: float) -> float:
     """HELLO send delay proportional to residual energy (slot-quantised)."""
     slot = encode_slot(codec, residual)
-    return codec.d_min + (codec.d_max - codec.d_min) * slot / (codec.slots - 1)
+    # d_min + (d_max - d_min) can round one ulp above d_max, which decode_energy rejects.
+    return min(codec.d_min + (codec.d_max - codec.d_min) * slot / (codec.slots - 1), codec.d_max)
 
 
 def decode_energy(codec: HelloCodec, delay: float) -> float:
@@ -92,9 +93,9 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class EnergyTable:
-    """Per-neighbour residual-energy records, newest record per neighbour."""
+    """Per-neighbour residual-energy records, newest record per neighbour (the scenario writes in place)."""
 
-    records: Mapping[str, TableEntry] = field(default_factory=dict)
+    records: dict[str, TableEntry] = field(default_factory=dict)
 
     def fresh(self, now: float | None = None, staleness: float | None = None) -> dict[str, float]:
         """Neighbour -> energy for records no older than the staleness horizon.

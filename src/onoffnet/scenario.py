@@ -9,11 +9,14 @@ rule) and decode the rest into their energy tables; configured route queries
 are then answered from the current tables.  A node whose residual energy
 falls to the exhaustion threshold dies and leaves the topology.
 
-Everything is iterated in sorted node order.  Each node draws its activity
-from its own generator, seeded once per run by (seed, node index in sorted
-order), so a node's draws do not depend on other nodes' deaths and a run is a
-pure function of (config, seed): identical inputs give byte-identical event
-logs.
+Everything is iterated in sorted node order; the alive nodes are sorted
+once per round, after that round's deaths.  Each node draws its activity
+from its own exponential stream, seeded once per run by (seed, node index in
+sorted order), so a node's draws do not depend on other nodes' deaths and a
+run is a pure function of (config, seed): identical inputs give
+byte-identical event logs.  Each beacon is decoded once per round, where it
+is sent, and every receiver that hears it alone writes that energy into its
+own table in place.
 """
 
 from __future__ import annotations
@@ -25,16 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import NodeState, OnOffParams, sample_on_time
+from .activity import NodeState, OnOffParams, exponential_stream, sample_on_time
 from .battery import BatteryState, SodModel, advance, predict_lifetime
 from .routing import (
     EnergyTable,
     HelloCodec,
     NetworkGraph,
+    TableEntry,
+    decode_energy,
     encode_delay,
     encode_slot,
     select_route,
-    update_energy_table,
 )
 
 _NODE_ID = re.compile(r"^[A-Za-z0-9_]+$")
@@ -255,11 +259,12 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     if seed is None:
         seed = config.seeds[0]
     node_ids = sorted(config.nodes)
-    rngs = {nid: np.random.default_rng((seed, i)) for i, nid in enumerate(node_ids)}
+    draws = {nid: exponential_stream(np.random.default_rng((seed, i))) for i, nid in enumerate(node_ids)}
     battery = {nid: BatteryState.fresh(config.nodes[nid].model) for nid in node_ids}
     chain_state = {nid: NodeState.ON for nid in node_ids}
     tables: dict[str, EnergyTable] = {nid: EnergyTable() for nid in node_ids}
     graph = NetworkGraph(frozenset(node_ids), config.links)
+    alive = node_ids
 
     events: list[str] = []
 
@@ -275,12 +280,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     error_count = 0
 
     def check_deaths(now: float) -> None:
-        nonlocal graph
-        for nid in sorted(graph.nodes):
+        nonlocal graph, alive
+        for nid in alive:
             state = battery[nid]
             if state.residual_energy <= config.exhaust_threshold:
                 graph = graph.drop_node(nid)
                 log(now, "death", nid, f"sod={state.sod!r};active_time={state.active_time!r}")
+        alive = sorted(graph.nodes)
 
     check_deaths(0.0)
 
@@ -289,28 +295,30 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         now = round_index * config.hello_period
 
         # Activity and discharge over the elapsed period.
-        for nid in sorted(graph.nodes):
+        for nid in alive:
             on_time, chain_state[nid] = sample_on_time(
                 config.nodes[nid].activity,
                 chain_state[nid],
                 config.hello_period,
-                rngs[nid],
+                draws[nid],
             )
             battery[nid] = advance(battery[nid], on_time)
         check_deaths(now)
 
-        # HELLO beacons, slotted by residual energy.
+        # HELLO beacons, slotted by residual energy; each decodes to one energy.
         slot_of: dict[str, int] = {}
-        delay_of: dict[str, float] = {}
-        for nid in sorted(graph.nodes):
+        energy_of: dict[str, float] = {}
+        for nid in alive:
             residual = battery[nid].residual_energy
             slot_of[nid] = encode_slot(config.codec, residual)
-            delay_of[nid] = encode_delay(config.codec, residual)
+            delay = encode_delay(config.codec, residual)
+            energy_of[nid] = decode_energy(config.codec, delay)
             hello_sent += 1
-            log(now, "hello", nid, f"slot={slot_of[nid]};delay={delay_of[nid]!r};residual={residual!r}")
+            log(now, "hello", nid, f"slot={slot_of[nid]};delay={delay!r};residual={residual!r}")
 
         # Per-receiver reception; same-slot beacons cancel each other out.
-        for receiver in sorted(graph.nodes):
+        for receiver in alive:
+            records = tables[receiver].records
             by_slot: dict[int, list[str]] = {}
             for sender in graph.neighbors(receiver):
                 by_slot.setdefault(slot_of[sender], []).append(sender)
@@ -321,15 +329,12 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                     log(now, "collision", receiver, f"slot={slot};senders={'|'.join(group)}")
                     continue
                 sender = group[0]
-                tables[receiver] = update_energy_table(
-                    tables[receiver], sender, delay_of[sender], now, config.codec
-                )
+                records[sender] = TableEntry(energy_of[sender], now)
                 table_updates += 1
-                energy = tables[receiver].records[sender].energy
-                log(now, "table", receiver, f"neighbor={sender};energy={energy!r}")
+                log(now, "table", receiver, f"neighbor={sender};energy={energy_of[sender]!r}")
 
         # Table accuracy bookkeeping against the true residuals.
-        for receiver in sorted(graph.nodes):
+        for receiver in alive:
             for neighbor, energy in sorted(tables[receiver].fresh(now, config.staleness).items()):
                 error_sum += abs(energy - battery[neighbor].residual_energy)
                 error_count += 1

@@ -14,6 +14,7 @@ from onoffnet.activity import (
     OnOffParams,
     Segment,
     Trajectory,
+    exponential_stream,
     monte_carlo_on_times,
     sample_on_time,
     sample_trajectory,
@@ -179,7 +180,7 @@ _RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, seed):
     params = OnOffParams(lam, mu)
     traj = sample_trajectory(params, initial, horizon, seed)
-    assert sample_on_time(params, initial, horizon, np.random.default_rng(seed)) == (
+    assert sample_on_time(params, initial, horizon, exponential_stream(np.random.default_rng(seed))) == (
         total_on_time(traj),
         traj.segments[-1].state,
     )
@@ -197,7 +198,21 @@ def test_single_monte_carlo_run_is_the_scalar_path(lam, mu, initial, horizon, se
     # The batched loop, at one path, consumes the stream as the scalar one does.
     params = OnOffParams(lam, mu)
     batched = monte_carlo_on_times(params, initial, horizon, 1, seed)
-    assert batched[0] == sample_on_time(params, initial, horizon, np.random.default_rng(seed))[0]
+    assert batched[0] == sample_on_time(params, initial, horizon, exponential_stream(np.random.default_rng(seed)))[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 31, 32, 33, 100]), st.integers(min_value=0, max_value=200)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_exponential_stream_is_the_scalar_draws(n, seed):
+    # Blocks change how often numpy is called, not which values come out or their order.
+    scalar = np.random.default_rng(seed)
+    stream = exponential_stream(np.random.default_rng(seed))
+    drawn = [next(stream) for _ in range(n)]
+    assert drawn == [scalar.standard_exponential() for _ in range(n)]
+    assert all(type(value) is float for value in drawn)  # so repr() prints as before
 
 
 def test_monte_carlo_bit_stream_is_pinned():

@@ -102,6 +102,82 @@ def test_import_leaves_scipy_unloaded(tmp_path):
             assert (tmp_path / out).is_file(), f"{args[0]} did not write {out}"
 
 
+def run_python(code, tmp_path, env=None):
+    """Run ``python -c code`` in a ``cli_env`` child; return its stripped stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env(tmp_path) if env is None else env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_import_is_lazy(tmp_path):
+    code = (
+        "import sys, onoffnet\n"
+        "print('numpy' in sys.modules)\n"
+        "ns = {}\n"
+        "exec('from onoffnet import *', ns)\n"
+        "print(len(onoffnet.__all__), sum(name in ns for name in onoffnet.__all__))\n"
+        "try:\n"
+        "    onoffnet.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert run_python(code, tmp_path).splitlines() == ["False", "45 45", "AttributeError"]
+
+
+def test_cli_starts_no_blas_pool(tmp_path):
+    code = (
+        "import os, sys, onoffnet.cli\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n"
+    )
+    assert run_python(code, tmp_path) == "1 1"
+    env = cli_env(tmp_path)
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert run_python(code, tmp_path, env).split()[0] == "2"  # the caller's choice is kept
+
+
+# The README's commands, as main() arguments.
+README_COMMANDS = (
+    ["density", "--x", "0.4,0.6,0.8,1.0", "--horizon", "10", "--points", "200", "--out", "fig_density.csv"],
+    ["density", "--lambda", "0.5", "--mu", "1.0", "--horizon", "2", "--points", "200", "--out", "single.csv"],
+    ["mean-curve", "--x-min", "0.01", "--x-max", "1.0", "--horizon", "10", "--points", "200",
+     "--out", "fig_mean.csv"],
+    ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--horizon", "100", "--out", "continuous.csv"],
+    ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--segments", "ON:1,OFF:2,ON:1",
+     "--out", "modulated.csv", "--trajectory-out", "segments.csv"],
+    ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--lambda", "1", "--mu", "2", "--seed", "7",
+     "--horizon", "10", "--out", "sampled.csv"],
+    ["validate", "--params", "1.0,3.0,4.0", "--replications", "10000", "--out", "report.csv"],
+    ["route", "--config", str(DIAMOND), "--out-dir", "results/"],
+)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
+    # np.unique and np.union1d import numpy.ma (about 15 ms) on first use.
+    code = (
+        "import sys\n"
+        "from onoffnet.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --- density -----------------------------------------------------------------
 
 
@@ -330,6 +406,25 @@ def test_validate_degenerate_always_on_row(tmp_path):
     step = 4.0 / 4096
     assert row[cols["tv_start_on"]] == pytest.approx(
         on_time_cdf(spec, 4.0 - step / 2), rel=1e-9
+    )
+
+    # One rate zero and the other so large that rate*horizon overflows: the
+    # zero must not meet an inf, so no warning, no NaN and no rejection.
+    proc = run_cli(
+        ["validate", "--params", "1e200,0,10", "--params", "1e300,0,1e10", "--params", "0,1e300,1e10",
+         "--replications", "10000", "--out", "huge.csv"],
+        tmp_path,
+    )
+    assert proc.stderr == ""
+    _, header, data = read_table(tmp_path / "huge.csv")
+    cols = {name: i for i, name in enumerate(header)}
+    assert np.all(np.isfinite(data))
+    assert data[1, cols["atom_zero_start_off"]] == 1.0
+    assert data[2, cols["atom_full_start_on"]] == 1.0
+    # Unchanged since before the degenerate-rate branches existed.
+    assert (tmp_path / "huge.csv").read_text().splitlines()[3] == (
+        "1e+200,0.0,10.0,-1e+200,1e-200,1e-200,1e-200,0.0,9.929774373596373e-201,0.0,"
+        "5.551115123125783e-17,0.0,0.0,0.0,1.0,0.0"
     )
 
 

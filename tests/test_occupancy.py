@@ -27,6 +27,7 @@ from onoffnet.occupancy import (
     mean_on_time,
     on_time_cdf,
     on_time_density,
+    sorted_distinct,
 )
 from onoffnet.occupancy import quad as density_quad
 
@@ -261,6 +262,20 @@ def test_quad_mean_matches_closed_form_up_to_huge_gaps(t, log_gap, positive):
     # mean, one panel, and a spike of width 1/|x| at either end of the window.
     spec = spec_of(0.0, 10.0 ** log_gap / t, t) if positive else spec_of(10.0 ** log_gap / t, 0.0, t)
     assert density_quad(spec, lambda th: th) == pytest.approx(mean_on_time(spec), rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40), min_size=1, max_size=4
+    )
+)
+def test_sorted_distinct_is_np_unique(parts):
+    arrays = [np.asarray(part, dtype=float) for part in parts]
+    expected = np.unique(np.concatenate(arrays))
+    got = sorted_distinct(*arrays)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()  # signed zeros included
 
 
 def test_quad_breakpoint_resolves_kink():

@@ -94,6 +94,10 @@ def test_encode_endpoints():
     codec = HelloCodec(0.2, 1.4, 7)
     assert encode_delay(codec, 0.0) == 0.2
     assert encode_delay(codec, 1.0) == 1.4
+    # Here d_min + (d_max - d_min) rounds one ulp above d_max.
+    codec = HelloCodec(2.684544737527804, 5.969224975130442, 15)
+    assert encode_delay(codec, 1.0) == codec.d_max
+    assert decode_energy(codec, encode_delay(codec, 1.0)) == 1.0
 
 
 def test_encode_hand_quantisation():
