@@ -257,17 +257,18 @@ class OccupationLaw:
     """Exact law of the total ON time, as masses of cells of width ``step``.
 
     ``pmf[k]`` is the probability that the total ON time lies in the cell
-    around ``on_times[k] = k*step``: ``[0, step/2]``, ``[k*step - step/2,
-    k*step + step/2]``, ..., ``[t - step/2, t]``.  The end cells carry the
-    never-switching atoms ``atom_zero`` (all OFF) and ``atom_full`` (all ON),
-    which exist in the true law but not in the continuous closed form.
-    ``mean`` and the atoms are exact, not read off the cells.
+    ``[edges[k], edges[k+1]]`` around ``on_times[k] = k*step``, where
+    ``edges = [0, step/2, 3*step/2, ..., t - step/2, t]``.  The end cells
+    carry the never-switching atoms ``atom_zero`` (all OFF) and ``atom_full``
+    (all ON), which exist in the true law but not in the continuous closed
+    form.  ``mean`` and the atoms are exact, not read off the cells.
     """
 
     spec: OccupancySpec
     step: float
     initial: NodeState
     on_times: np.ndarray
+    edges: np.ndarray
     pmf: np.ndarray
 
     @property
@@ -286,9 +287,12 @@ class OccupationLaw:
         return math.exp(-self.spec.params.lam * self.spec.horizon) if self.initial is NodeState.ON else 0.0
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
-        """Aggregate the cell masses into histogram bins (right edge closed)."""
-        masses, _ = np.histogram(self.on_times, bins=edges, weights=self.pmf)
-        return masses
+        """Exact masses of the bins between increasing ``edges``, each a cell edge."""
+        edges = np.asarray(edges, dtype=float)
+        index = np.minimum(np.searchsorted(self.edges, edges), self.edges.size - 1)
+        if not (np.array_equal(self.edges[index], edges) and np.all(np.diff(index) > 0)):
+            raise ValueError("bin edges must be increasing cell edges of the law (OccupationLaw.edges)")
+        return np.diff(np.concatenate([[0.0], np.cumsum(self.pmf)])[index])
 
 
 def _on_start_mean(lam: float, mu: float, t: float) -> float:
@@ -388,23 +392,17 @@ def exact_occupation_distribution(
     total = float(pmf.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"occupation law lost probability mass: sum={total!r}")
-    return OccupationLaw(spec, h, initial, np.linspace(0.0, t, n + 1), pmf)
+    cell_edges = np.concatenate([[0.0], (np.arange(n) + 0.5) * h, [t]])
+    return OccupationLaw(spec, h, initial, np.linspace(0.0, t, n + 1), cell_edges, pmf)
 
 
 def closed_form_gap(law: OccupationLaw) -> float:
     """Total-variation distance between the exact law and the closed form.
 
     The closed-form density is binned onto the law's cells (cdf differences
-    over ``k*step +- step/2``), so both sides live on the same support.
-    Nonzero in general: the closed form carries no boundary atoms and
-    ignores path multiplicity.
+    over ``law.edges``), so both sides live on the same support.  Nonzero in
+    general: the closed form carries no boundary atoms and ignores path
+    multiplicity.
     """
-    t = law.spec.horizon
-    n = law.on_times.size - 1
-    edges = np.empty(n + 2)
-    edges[0] = 0.0
-    edges[1:-1] = (np.arange(n) + 0.5) * law.step
-    edges[-1] = t
-    cdf = on_time_cdf(law.spec, edges)
-    closed_masses = np.diff(cdf)
+    closed_masses = np.diff(on_time_cdf(law.spec, law.edges))
     return 0.5 * float(np.abs(law.pmf - closed_masses).sum())

@@ -3,12 +3,13 @@
 Each node periodically broadcasts a HELLO beacon whose send delay within the
 period encodes its residual battery energy on a quantised slot scale; a
 receiver inverts the delay and refreshes its per-neighbour energy table.
-Route selection then combines hop count with the disseminated energies: the
-cost of hopping onto a relay ``v`` is ``1 + beta * (1 - E_v)``, the final hop
-onto the destination costs 1, and relays whose record is stale, absent or at
-most the exhaustion threshold are not used at all.  Ties between equal-cost
-paths break on the lexicographically smallest node-id sequence, which makes
-selection fully deterministic.
+Route selection then combines hop count with each node's fresh view of its
+table (records within the staleness horizon): the cost of hopping onto a
+relay ``v`` is ``1 + beta * (1 - E_v)``, the final hop onto the destination
+costs 1, and relays absent from the view or at most the exhaustion threshold
+are not used at all.  Ties between equal-cost paths break on the
+lexicographically smallest node-id sequence, which makes selection fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -97,13 +98,8 @@ class EnergyTable:
 
     records: dict[str, TableEntry] = field(default_factory=dict)
 
-    def fresh(self, now: float | None = None, staleness: float | None = None) -> dict[str, float]:
-        """Neighbour -> energy for records no older than the staleness horizon.
-
-        With ``now``/``staleness`` omitted every record counts as fresh.
-        """
-        if now is None or staleness is None:
-            return {nid: entry.energy for nid, entry in self.records.items()}
+    def fresh(self, now: float, staleness: float) -> dict[str, float]:
+        """Neighbour -> energy for records no older than the staleness horizon."""
         return {
             nid: entry.energy
             for nid, entry in self.records.items()
@@ -180,24 +176,22 @@ class RouteResult:
 
 def select_route(
     graph: NetworkGraph,
-    tables: Mapping[str, EnergyTable],
+    known: Mapping[str, Mapping[str, float]],
     src: str,
     dst: str,
     beta: float,
     exhaust_threshold: float,
-    *,
-    now: float | None = None,
-    staleness: float | None = None,
 ) -> RouteResult | None:
     """Least-cost path from ``src`` to ``dst`` under the energy-aware metric.
 
+    ``known`` maps each node to its fresh ``{neighbour: energy}`` view (see
+    :meth:`EnergyTable.fresh`); a node missing from it has no fresh records.
     The cost of an edge ``u -> v`` is ``1 + beta*(1 - E_v)`` when ``v`` is a
-    relay, where ``E_v`` is u's fresh table record for v, and exactly 1 when
-    ``v`` is the destination (a destination needs no relay vetting).  Relays
-    with stale or absent records, or with recorded energy at most
-    ``exhaust_threshold``, are skipped.  Equal-cost ties resolve to the
-    lexicographically smallest node-id sequence.  Returns ``None`` when no
-    admissible path exists.
+    relay, where ``E_v`` is ``known[u][v]``, and exactly 1 when ``v`` is the
+    destination (a destination needs no relay vetting).  Relays absent from
+    u's view, or with energy at most ``exhaust_threshold``, are skipped.
+    Equal-cost ties resolve to the lexicographically smallest node-id
+    sequence.  Returns ``None`` when no admissible path exists.
     """
     for name, nid in (("src", src), ("dst", dst)):
         if nid not in graph.nodes:
@@ -206,6 +200,8 @@ def select_route(
         raise ValueError("src and dst must differ")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    if not 0.0 <= exhaust_threshold < 1.0:
+        raise ValueError(f"exhaust_threshold must lie in [0, 1), got {exhaust_threshold!r}")
 
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
     visited: set[str] = set()
@@ -217,14 +213,14 @@ def select_route(
         visited.add(node)
         if node == dst:
             return RouteResult(path, cost)
-        known = tables[node].fresh(now, staleness) if node in tables else {}
+        energies = known.get(node, {})
         for nxt in graph.neighbors(node):
             if nxt in visited:
                 continue
             if nxt == dst:
                 edge = 1.0
             else:
-                energy = known.get(nxt)
+                energy = energies.get(nxt)
                 if energy is None or energy <= exhaust_threshold:
                     continue
                 edge = 1.0 + beta * (1.0 - energy)

@@ -5,9 +5,10 @@ A scenario file is INI-style key/value text (sections ``[scenario]``,
 period every alive node samples its ON/OFF activity, discharges its battery
 by the active time, and beacons its residual energy as a slot-quantised HELLO
 delay; receivers drop same-slot beacons pairwise (conservative collision
-rule) and decode the rest into their energy tables; configured route queries
-are then answered from the current tables.  A node whose residual energy
-falls to the exhaustion threshold dies and leaves the topology.
+rule) and decode the rest into their energy tables; each table's records
+within the staleness horizon are then selected once, and configured route
+queries are answered from them.  A node whose residual energy falls to the
+exhaustion threshold dies and leaves the topology.
 
 Everything is iterated in sorted node order; the alive nodes are sorted
 once per round, after that round's deaths.  Each node draws its activity
@@ -333,28 +334,21 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 table_updates += 1
                 log(now, "table", receiver, f"neighbor={sender};energy={energy_of[sender]!r}")
 
-        # Table accuracy bookkeeping against the true residuals.
+        # Each receiver's fresh records, decided once per round; the table
+        # accuracy bookkeeping and every route query read this one view.
+        known = {receiver: tables[receiver].fresh(now, config.staleness) for receiver in alive}
         for receiver in alive:
-            for neighbor, energy in sorted(tables[receiver].fresh(now, config.staleness).items()):
+            for neighbor, energy in sorted(known[receiver].items()):
                 error_sum += abs(energy - battery[neighbor].residual_energy)
                 error_count += 1
 
-        # Route queries answered from the current tables.
+        # Route queries answered from the fresh records.
         for src, dst in config.queries:
             route_queries += 1
             if src not in graph.nodes or dst not in graph.nodes:
                 log(now, "route", src, f"dst={dst};path=none")
                 continue
-            result = select_route(
-                graph,
-                tables,
-                src,
-                dst,
-                config.beta,
-                config.exhaust_threshold,
-                now=now,
-                staleness=config.staleness,
-            )
+            result = select_route(graph, known, src, dst, config.beta, config.exhaust_threshold)
             if result is None:
                 log(now, "route", src, f"dst={dst};path=none")
             else:

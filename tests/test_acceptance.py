@@ -29,7 +29,7 @@ from onoffnet.routing import HelloCodec, collision_probability, decode_energy, e
 from onoffnet.scenario import load_scenario_config, run_scenario
 
 from test_occupancy import equiprobable_edges
-from test_routing import brute_force_route, random_instance, tables_from_energies
+from test_routing import brute_force_route, known_from_energies, random_instance
 
 DIAMOND = Path(__file__).resolve().parents[1] / "configs" / "diamond.cfg"
 
@@ -180,12 +180,12 @@ def test_criterion_7_routing_oracle_and_diamond_flip():
     checked = 0
     while checked < 100:
         graph, energies, ids = random_instance(rng)
-        tables = tables_from_energies(graph, energies)
+        known = known_from_energies(graph, energies)
         beta = float(rng.choice([0.0, 0.5, 1.0, 2.0, 5.0, 20.0]))
         threshold = float(rng.choice([0.0, 0.2, 0.5]))
         src, dst = rng.choice(ids, size=2, replace=False)
-        expected = brute_force_route(graph, tables, src, dst, beta, threshold)
-        actual = select_route(graph, tables, src, dst, beta, threshold)
+        expected = brute_force_route(graph, known, src, dst, beta, threshold)
+        actual = select_route(graph, known, src, dst, beta, threshold)
         if expected is None:
             assert actual is None
         else:

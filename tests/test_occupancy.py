@@ -475,12 +475,29 @@ def test_exact_law_differs_from_closed_form():
     assert gap_on != pytest.approx(gap_off, rel=1e-3)
 
 
+def test_law_cells_and_exact_bin_masses():
+    t = 4.0
+    law = exact_occupation_distribution(spec_of(1.0, 3.0, t), t / 400, NodeState.ON)
+    h = law.step
+    assert law.edges[0] == 0.0 and law.edges[-1] == t
+    assert law.edges.size == law.pmf.size + 1
+    assert np.allclose(np.diff(law.edges[1:-1]), h, rtol=0.0, atol=1e-12)
+    assert np.allclose(law.edges[1:-1], law.on_times[:-1] + h / 2, rtol=0.0, atol=1e-12)
+    masses = law.bin_masses(law.edges[[0, 7, 150, -1]])
+    expected = [law.pmf[:7].sum(), law.pmf[7:150].sum(), law.pmf[150:].sum()]
+    assert masses == pytest.approx(expected, rel=0.0, abs=1e-15)
+    for bad in (law.on_times[[0, 5, -1]], [0.0, law.edges[3], t + 1.0], law.edges[[0, 3, 3, -1]],
+                law.edges[[0, 5, 3, -1]]):
+        with pytest.raises(ValueError, match="cell edges"):
+            law.bin_masses(bad)
+
+
 def equiprobable_edges(law, n_bins: int) -> np.ndarray:
-    """Bin edges over [0, horizon] carrying ~equal mass under the exact law."""
+    """Cell edges over [0, horizon] that cut the exact law into ~equal-mass bins."""
     cum = np.cumsum(law.pmf)
     targets = np.arange(1, n_bins) / n_bins
-    interior = law.on_times[np.searchsorted(cum, targets)]
-    edges = np.concatenate([[0.0], interior, [law.on_times[-1]]])
+    interior = law.edges[np.searchsorted(cum, targets) + 1]
+    edges = np.concatenate([law.edges[:1], interior, law.edges[-1:]])
     return np.unique(edges)
 
 

@@ -35,19 +35,13 @@ def make_graph(ids, links):
     return NetworkGraph(frozenset(ids), frozenset(frozenset(pair) for pair in links))
 
 
-def tables_from_energies(graph: NetworkGraph, energies: dict[str, float]):
-    """Every node's table knows each neighbour's true energy, timestamped 0."""
-    return {
-        nid: EnergyTable(
-            {nbr: TableEntry(energies[nbr], 0.0) for nbr in graph.neighbors(nid)}
-        )
-        for nid in graph.nodes
-    }
+def known_from_energies(graph: NetworkGraph, energies: dict[str, float]):
+    """Every node's fresh view holds each neighbour's true energy."""
+    return {nid: {nbr: energies[nbr] for nbr in graph.neighbors(nid)} for nid in graph.nodes}
 
 
-def brute_force_route(graph, tables, src, dst, beta, threshold, now=None, staleness=None):
+def brute_force_route(graph, known, src, dst, beta, threshold):
     """Exhaustive minimum-cost simple-path search with identical edge pricing."""
-    known = {nid: tables[nid].fresh(now, staleness) for nid in graph.nodes}
     adjacency = {nid: graph.neighbors(nid) for nid in graph.nodes}
     best = None
 
@@ -65,7 +59,7 @@ def brute_force_route(graph, tables, src, dst, beta, threshold, now=None, stalen
             if nxt == dst:
                 edge = 1.0
             else:
-                energy = known[node].get(nxt)
+                energy = known.get(node, {}).get(nxt)
                 if energy is None or energy <= threshold:
                     continue
                 edge = 1.0 + beta * (1.0 - energy)
@@ -201,7 +195,6 @@ def test_table_freshness_window():
     table = EnergyTable({"B": TableEntry(0.5, 10.0), "C": TableEntry(0.9, 2.0)})
     assert table.fresh(now=12.0, staleness=5.0) == {"B": 0.5}
     assert table.fresh(now=12.0, staleness=10.0) == {"B": 0.5, "C": 0.9}
-    assert table.fresh() == {"B": 0.5, "C": 0.9}
 
 
 # --- graph ------------------------------------------------------------------------
@@ -258,16 +251,16 @@ def test_graph_neighbors_sorted_whatever_the_link_order():
 
 def test_zero_beta_reduces_to_hop_count():
     graph = make_graph("ABCD", [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"), ("A", "D")])
-    tables = tables_from_energies(graph, {"A": 0.5, "B": 0.9, "C": 0.1, "D": 0.7})
-    result = select_route(graph, tables, "A", "D", beta=0.0, exhaust_threshold=0.0)
+    known = known_from_energies(graph, {"A": 0.5, "B": 0.9, "C": 0.1, "D": 0.7})
+    result = select_route(graph, known, "A", "D", beta=0.0, exhaust_threshold=0.0)
     assert result.path == ("A", "D")
     assert result.cost == 1.0
 
 
 def test_diamond_tie_breaks_lexicographically_at_zero_beta():
     graph = make_graph("ABCD", [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")])
-    tables = tables_from_energies(graph, {"A": 0.5, "B": 0.1, "C": 0.9, "D": 0.7})
-    result = select_route(graph, tables, "A", "D", beta=0.0, exhaust_threshold=0.0)
+    known = known_from_energies(graph, {"A": 0.5, "B": 0.1, "C": 0.9, "D": 0.7})
+    result = select_route(graph, known, "A", "D", beta=0.0, exhaust_threshold=0.0)
     assert result.path == ("A", "B", "D")  # same cost as A-C-D, smaller sequence
 
 
@@ -275,54 +268,60 @@ def test_diamond_penalty_prefers_energetic_relay():
     # Relay penalties: A-C-D costs 1 + 5*0.1 + 1 = 2.5, A-B-D costs
     # 1 + 5*0.9 + 1 = 6.5 (unit destination hop in both).
     graph = make_graph("ABCD", [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")])
-    tables = tables_from_energies(graph, {"A": 0.5, "B": 0.1, "C": 0.9, "D": 0.7})
-    result = select_route(graph, tables, "A", "D", beta=5.0, exhaust_threshold=0.0)
+    known = known_from_energies(graph, {"A": 0.5, "B": 0.1, "C": 0.9, "D": 0.7})
+    result = select_route(graph, known, "A", "D", beta=5.0, exhaust_threshold=0.0)
     assert result.path == ("A", "C", "D")
     assert result.cost == pytest.approx(2.5, rel=1e-12)
 
 
 def test_exhausted_relay_disconnects_line():
     graph = make_graph("ABC", [("A", "B"), ("B", "C")])
-    tables = tables_from_energies(graph, {"A": 0.9, "B": 0.05, "C": 0.9})
-    assert select_route(graph, tables, "A", "C", beta=1.0, exhaust_threshold=0.1) is None
+    known = known_from_energies(graph, {"A": 0.9, "B": 0.05, "C": 0.9})
+    assert select_route(graph, known, "A", "C", beta=1.0, exhaust_threshold=0.1) is None
 
 
 def test_stale_record_excludes_relay():
     graph = make_graph("ABC", [("A", "B"), ("B", "C")])
-    tables = tables_from_energies(graph, {"A": 0.9, "B": 0.8, "C": 0.9})
-    fresh = select_route(graph, tables, "A", "C", beta=1.0, exhaust_threshold=0.1,
-                         now=4.0, staleness=5.0)
-    assert fresh is not None
-    stale = select_route(graph, tables, "A", "C", beta=1.0, exhaust_threshold=0.1,
-                         now=6.0, staleness=5.0)
-    assert stale is None
+    energies = {"A": 0.9, "B": 0.8, "C": 0.9}
+    tables = {
+        nid: EnergyTable({nbr: TableEntry(energies[nbr], 0.0) for nbr in graph.neighbors(nid)})
+        for nid in graph.nodes
+    }
+    fresh = {nid: table.fresh(4.0, 5.0) for nid, table in tables.items()}
+    assert select_route(graph, fresh, "A", "C", beta=1.0, exhaust_threshold=0.1) is not None
+    stale = {nid: table.fresh(6.0, 5.0) for nid, table in tables.items()}
+    assert select_route(graph, stale, "A", "C", beta=1.0, exhaust_threshold=0.1) is None
 
 
 def test_absent_record_excludes_relay_but_not_destination():
     graph = make_graph("ABC", [("A", "B"), ("B", "C")])
-    tables = {nid: EnergyTable() for nid in graph.nodes}
-    # B unusable as relay without a record, but a direct hop to the dst works.
-    assert select_route(graph, tables, "A", "C", beta=1.0, exhaust_threshold=0.1) is None
-    assert select_route(graph, tables, "A", "B", beta=1.0, exhaust_threshold=0.1).path == ("A", "B")
+    # B unusable as relay without a record, but a direct hop to the dst works;
+    # a node missing from the view has no records at all.
+    for known in ({nid: {} for nid in graph.nodes}, {}):
+        assert select_route(graph, known, "A", "C", beta=1.0, exhaust_threshold=0.1) is None
+        assert select_route(graph, known, "A", "B", beta=1.0, exhaust_threshold=0.1).path == ("A", "B")
 
 
 def test_select_route_rejects_bad_endpoints():
     graph = make_graph("AB", [("A", "B")])
-    tables = tables_from_energies(graph, {"A": 0.5, "B": 0.5})
+    known = known_from_energies(graph, {"A": 0.5, "B": 0.5})
     with pytest.raises(ValueError):
-        select_route(graph, tables, "A", "Z", beta=0.0, exhaust_threshold=0.0)
+        select_route(graph, known, "A", "Z", beta=0.0, exhaust_threshold=0.0)
     with pytest.raises(ValueError):
-        select_route(graph, tables, "A", "A", beta=0.0, exhaust_threshold=0.0)
+        select_route(graph, known, "A", "A", beta=0.0, exhaust_threshold=0.0)
     for beta in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="beta"):
-            select_route(graph, tables, "A", "B", beta=beta, exhaust_threshold=0.0)
+            select_route(graph, known, "A", "B", beta=beta, exhaust_threshold=0.0)
+    for threshold in (math.nan, -0.1, 1.0):
+        with pytest.raises(ValueError, match="exhaust_threshold"):
+            select_route(graph, known, "A", "B", beta=0.0, exhaust_threshold=threshold)
 
 
 def test_cost_equals_sum_of_edge_costs():
     graph = make_graph("ABCDE", [("A", "B"), ("B", "C"), ("C", "E"), ("A", "D"), ("D", "E")])
     energies = {"A": 0.9, "B": 0.6, "C": 0.4, "D": 0.3, "E": 0.8}
-    tables = tables_from_energies(graph, energies)
-    result = select_route(graph, tables, "A", "E", beta=2.0, exhaust_threshold=0.0)
+    known = known_from_energies(graph, energies)
+    result = select_route(graph, known, "A", "E", beta=2.0, exhaust_threshold=0.0)
     total = 0.0
     for hop in result.path[1:-1]:
         total += 1.0 + 2.0 * (1.0 - energies[hop])
@@ -350,18 +349,55 @@ def test_select_route_matches_brute_force_on_random_graphs():
     rng = np.random.default_rng(1234)
     for _ in range(60):
         graph, energies, ids = random_instance(rng)
-        tables = tables_from_energies(graph, energies)
+        known = known_from_energies(graph, energies)
         beta = float(rng.choice([0.0, 0.5, 2.0, 10.0]))
         threshold = float(rng.choice([0.0, 0.2, 0.5]))
         src, dst = rng.choice(ids, size=2, replace=False)
-        expected = brute_force_route(graph, tables, src, dst, beta, threshold)
-        actual = select_route(graph, tables, src, dst, beta, threshold)
+        expected = brute_force_route(graph, known, src, dst, beta, threshold)
+        actual = select_route(graph, known, src, dst, beta, threshold)
         if expected is None:
             assert actual is None
         else:
             assert actual is not None
             assert actual.path == expected[1]
             assert actual.cost == expected[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_select_route_on_fresh_view_matches_brute_force_under_staleness(data):
+    # Records carry random timestamps up to ``now`` (integers, so the
+    # ``now - timestamp == staleness`` boundary is hit often) and some
+    # neighbours have none.  The oracle decides freshness from the raw
+    # entries itself: a record is fresh when timestamp + staleness >= now.
+    n = data.draw(st.integers(3, 7), label="n")
+    ids = [chr(ord("A") + i) for i in range(n)]
+    links = data.draw(st.lists(st.sampled_from(list(itertools.combinations(ids, 2))), unique=True))
+    graph = make_graph(ids, links)
+    now = data.draw(st.integers(0, 10), label="now")
+    staleness = data.draw(st.integers(0, 10), label="staleness")
+    record = st.none() | st.tuples(st.integers(0, 1000), st.integers(0, now))
+    tables = {}
+    for nid in ids:
+        records = {}
+        for nbr in graph.neighbors(nid):
+            drawn = data.draw(record, label=f"{nid}->{nbr}")
+            if drawn is not None:
+                records[nbr] = TableEntry(drawn[0] / 1000, float(drawn[1]))
+        tables[nid] = EnergyTable(records)
+    beta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 10.0]), label="beta")
+    threshold = data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="threshold")
+    src, dst = data.draw(st.permutations(ids), label="order")[:2]
+
+    oracle_known = {
+        nid: {nbr: entry.energy for nbr, entry in table.records.items() if entry.timestamp + staleness >= now}
+        for nid, table in tables.items()
+    }
+    known = {nid: table.fresh(float(now), float(staleness)) for nid, table in tables.items()}
+    assert known == oracle_known
+    expected = brute_force_route(graph, oracle_known, src, dst, beta, threshold)
+    actual = select_route(graph, known, src, dst, beta, threshold)
+    assert (None if actual is None else (actual.cost, actual.path)) == expected
 
 
 def relay_energy_deficiency(path, energies):
@@ -376,9 +412,9 @@ def test_raising_beta_never_increases_relay_deficiency():
     betas = [0.0, 0.5, 1.0, 2.0, 5.0, 20.0]
     for _ in range(40):
         graph, energies, ids = random_instance(rng)
-        tables = tables_from_energies(graph, energies)
+        known = known_from_energies(graph, energies)
         src, dst = rng.choice(ids, size=2, replace=False)
-        routes = [select_route(graph, tables, src, dst, b, 0.0) for b in betas]
+        routes = [select_route(graph, known, src, dst, b, 0.0) for b in betas]
         found = [r for r in routes if r is not None]
         if not found:
             continue

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from onoffnet.battery import sod_continuous
+from onoffnet.routing import EnergyTable
 from onoffnet.scenario import (
     ConfigError,
     aggregate_metrics,
@@ -265,6 +266,23 @@ def test_output_lock(tmp_path):
     assert hashlib.sha256(metrics.encode()).hexdigest() == (
         "b9b52396103ffd4a05f7b527eb4b230b7e10f97143c83b3b216760cfa3781b70"
     )
+
+
+def test_fresh_records_are_selected_once_per_alive_node_per_round(tmp_path, monkeypatch):
+    # Every alive node beacons once per round, so hello_sent counts the alive
+    # receivers of all rounds: six in rounds 1-2, five after B dies in round 3.
+    calls = []
+    fresh = EnergyTable.fresh
+
+    def counted(self, now, staleness):
+        calls.append(now)
+        return fresh(self, now, staleness)
+
+    monkeypatch.setattr(EnergyTable, "fresh", counted)
+    result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
+    assert result.metrics["route_queries"] == 12.0
+    assert len(calls) == result.metrics["hello_sent"] == 2 * 6 + 4 * 5
+    assert calls == sorted(calls)
 
 
 def test_node_draws_do_not_depend_on_other_deaths(tmp_path):
