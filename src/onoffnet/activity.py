@@ -7,17 +7,19 @@ probability ``exp(-rate * d)``.  A sampled path is an alternating sequence of
 timed segments tiling ``[0, horizon]``; the total time spent ON over the
 window is the random quantity whose law :mod:`onoffnet.occupancy` describes.
 
-Sampling draws from numpy's PCG64 generator.  Every sojourn is
-``rng.standard_exponential() / rate`` from a long-lived ``Generator``, and a
-draw that comes out zero is drawn again.  ``GENERATOR_ID`` is recorded in
-output file headers so archived runs name the bit stream they were produced
-with.  One path is drawn by the private generator ``_sojourns`` from an
-``exponential_stream``, which draws in blocks the values scalar calls give.
-``sample_trajectory`` seeds a stream and builds validated segments from its
-sojourns, while ``sample_on_time`` (used by the scenario loop, one stream per
-node) keeps only the total ON time and the final state of the same path.  ``monte_carlo_on_times`` steps all of its
-paths together, one array of draws per sojourn, from one generator; with a
-single path it consumes the stream exactly as ``sample_on_time`` does.
+Sampling draws from numpy's PCG64 generator.  Every sojourn is a standard
+exponential draw divided by the leaving rate, and a draw that comes out zero
+is drawn again.  ``GENERATOR_ID`` is recorded in output file headers so
+archived runs name the bit stream they were produced with.
+
+There is one sampling loop, in two forms with the same arithmetic per path.
+``sample_trajectory`` builds the validated segments of one path, read by the
+private generator ``_sojourns`` from an ``exponential_stream`` (block draws,
+the values scalar calls give).  ``on_times_lockstep`` keeps only the total ON
+time and final state of many independent paths, each with its own rates and
+start state, stepped together one sojourn per step; it reads its draws from
+a callable, so ``monte_carlo_on_times`` feeds it from one generator and the
+scenario from one generator per node, through ``buffered_draws``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -142,6 +144,29 @@ def exponential_stream(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.standard_exponential(_BLOCK).tolist()
 
 
+def buffered_draws(rngs: list[np.random.Generator]) -> Callable[[np.ndarray], np.ndarray]:
+    """A ``draw`` for ``on_times_lockstep`` in which path ``p`` reads ``rngs[p]``.
+
+    Each generator is read as ``exponential_stream`` reads it, ``_BLOCK``
+    values per refill, so path ``p`` gets exactly the values of repeated
+    scalar ``rngs[p].standard_exponential()`` calls in their order; only the
+    refills cost a Python step per path.
+    """
+    block = np.empty((len(rngs), _BLOCK))
+    used = np.full(len(rngs), _BLOCK)  # values of each row already handed out
+
+    def draw(paths: np.ndarray) -> np.ndarray:
+        spent = paths[used[paths] == _BLOCK]
+        for p in spent.tolist():
+            block[p] = rngs[p].standard_exponential(_BLOCK)
+        used[spent] = 0
+        values = block[paths, used[paths]]
+        used[paths] += 1
+        return values
+
+    return draw
+
+
 def _sojourns(
     params: OnOffParams,
     initial: NodeState,
@@ -151,8 +176,8 @@ def _sojourns(
     """Yield ``(state, start, duration)`` for each sojourn tiling ``[0, horizon]``.
 
     The scalar sampling loop, reading standard exponentials from ``draws``;
-    ``monte_carlo_on_times`` is its batched twin.  The law is described in
-    ``sample_trajectory``.
+    ``on_times_lockstep`` does the same arithmetic per path.  The law is
+    described in ``sample_trajectory``.
     """
     _check_horizon(horizon)
     state, other = initial, initial.other
@@ -190,39 +215,67 @@ def sample_trajectory(
     return Trajectory(horizon, segments)
 
 
-def sample_on_time(
-    params: OnOffParams,
-    initial: NodeState,
-    horizon: float,
-    draws: Iterator[float],
-) -> tuple[float, NodeState]:
-    """Total ON time and final state of one path read from ``draws``.
-
-    Equal, bit for bit, to ``total_on_time(t)`` and ``t.segments[-1].state``
-    for ``t = sample_trajectory(params, initial, horizon, seed)`` when
-    ``draws`` is ``exponential_stream(default_rng(seed))``, without building
-    or validating the segments.
-    """
-    on_time = 0.0
-    state = initial
-    for state, _, duration in _sojourns(params, initial, horizon, draws):
-        if state is NodeState.ON:
-            on_time += duration
-    return on_time, state
-
-
 def total_on_time(traj: Trajectory) -> float:
     """Total duration spent ON; in ``[0, horizon]``.
 
-    Added left to right in a plain loop, as ``sample_on_time`` does, because
-    ``sum()`` compensates rounding from Python 3.12 on and would make the
-    result depend on the interpreter version.
+    Added left to right in a plain loop, as ``on_times_lockstep`` adds per
+    path, because ``sum()`` compensates rounding from Python 3.12 on and
+    would make the result depend on the interpreter version.
     """
     on_time = 0.0
     for seg in traj.segments:
         if seg.state is NodeState.ON:
             on_time += seg.duration
     return on_time
+
+
+def on_times_lockstep(
+    lam: np.ndarray,
+    mu: np.ndarray,
+    on: np.ndarray,
+    horizon: float,
+    draw: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total ON time and final state of independent paths over ``[0, horizon]``.
+
+    Path ``i`` leaves ON at rate ``lam[i]`` and OFF at rate ``mu[i]``, and
+    starts ON where ``on[i]`` is true.  Every unfinished path takes one
+    sojourn per step: ``draw(paths)`` returns one standard exponential for
+    each listed path index, in the listed order, and zero draws are drawn
+    again the same way.  A path finishes at its first sojourn that reaches
+    the horizon, or at once in a state it cannot leave (rate 0), without a
+    draw.  Per path the arithmetic is that of ``_sojourns``, so a path whose
+    draws come from ``exponential_stream(default_rng(seed))`` gives, bit for
+    bit, ``total_on_time`` and the last segment's state of
+    ``sample_trajectory`` at that seed.  Returns ``(on_time, final_on)``.
+    """
+    _check_horizon(horizon)
+    final_on = np.array(on, dtype=bool)
+    on_time = np.zeros(final_on.size)
+    paths = np.arange(final_on.size)  # indices of the unfinished paths
+    elapsed = np.zeros(final_on.size)
+    while paths.size:
+        now_on = final_on[paths]
+        rate = np.where(now_on, lam[paths], mu[paths])
+        if rate.all():
+            duration = draw(paths) / rate
+            redraw = np.flatnonzero(duration <= 0.0)
+        else:
+            # A path that cannot leave its state runs out the horizon in it.
+            moving = np.flatnonzero(rate)
+            duration = np.full(paths.size, math.inf)
+            duration[moving] = draw(paths[moving]) / rate[moving]
+            redraw = moving[duration[moving] <= 0.0]
+        while redraw.size:
+            duration[redraw] = draw(paths[redraw]) / rate[redraw]
+            redraw = redraw[duration[redraw] <= 0.0]
+        end = elapsed + duration
+        done = end >= horizon
+        on_time[paths] += np.where(now_on, np.where(done, horizon - elapsed, duration), 0.0)
+        running = ~done
+        final_on[paths[running]] = ~now_on[running]
+        paths, elapsed = paths[running], end[running]
+    return on_time, final_on
 
 
 def monte_carlo_on_times(
@@ -234,36 +287,17 @@ def monte_carlo_on_times(
 ) -> np.ndarray:
     """Total ON times of ``n_runs`` independent trajectories.
 
-    All paths are drawn from one ``default_rng(base_seed)``.  They start in
-    the same state and alternate in lockstep, so every unfinished path shares
-    the current leaving rate: each sojourn is one array of draws, clipped at
-    the horizon, after which the finished paths drop out.  Arithmetic per
-    path is that of ``sample_on_time``, and ``n_runs=1`` gives its value.
+    ``on_times_lockstep`` with every path drawing, in path order, from one
+    ``default_rng(base_seed)``; ``n_runs=1`` consumes that generator as
+    ``sample_trajectory`` does at the same seed.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
-    _check_horizon(horizon)
     rng = np.random.default_rng(base_seed)
-    on_times = np.empty(n_runs)
-    paths = np.arange(n_runs)  # indices of the unfinished paths
-    elapsed = np.zeros(n_runs)
-    on_time = np.zeros(n_runs)
-    state = initial
-    while paths.size:
-        rate = params.leaving_rate(state)
-        if rate == 0.0:
-            on_times[paths] = on_time + (horizon - elapsed) if state is NodeState.ON else on_time
-            break
-        duration = rng.standard_exponential(paths.size) / rate
-        redraw = np.flatnonzero(duration <= 0.0)
-        while redraw.size:
-            duration[redraw] = rng.standard_exponential(redraw.size) / rate
-            redraw = redraw[duration[redraw] <= 0.0]
-        done = elapsed + duration >= horizon
-        if state is NodeState.ON:
-            on_time += np.where(done, horizon - elapsed, duration)
-        on_times[paths[done]] = on_time[done]
-        running = ~done
-        paths, elapsed, on_time = paths[running], (elapsed + duration)[running], on_time[running]
-        state = state.other
-    return on_times
+    return on_times_lockstep(
+        np.full(n_runs, params.lam),
+        np.full(n_runs, params.mu),
+        np.full(n_runs, initial is NodeState.ON),
+        horizon,
+        lambda paths: rng.standard_exponential(paths.size),
+    )[0]

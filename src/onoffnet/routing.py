@@ -46,6 +46,11 @@ class HelloCodec:
         if not 0.0 < self.e_full <= 1.0:
             raise ValueError(f"e_full must lie in (0, 1], got {self.e_full!r}")
 
+    def delay(self, slot: int) -> float:
+        """HELLO send delay of a quantisation slot."""
+        # d_min + (d_max - d_min) can round one ulp above d_max, which decode_energy rejects.
+        return min(self.d_min + (self.d_max - self.d_min) * slot / (self.slots - 1), self.d_max)
+
 
 def encode_slot(codec: HelloCodec, residual: float) -> int:
     """Nearest quantisation slot for a residual energy; saturates at the ends."""
@@ -57,9 +62,7 @@ def encode_slot(codec: HelloCodec, residual: float) -> int:
 
 def encode_delay(codec: HelloCodec, residual: float) -> float:
     """HELLO send delay proportional to residual energy (slot-quantised)."""
-    slot = encode_slot(codec, residual)
-    # d_min + (d_max - d_min) can round one ulp above d_max, which decode_energy rejects.
-    return min(codec.d_min + (codec.d_max - codec.d_min) * slot / (codec.slots - 1), codec.d_max)
+    return codec.delay(encode_slot(codec, residual))
 
 
 def decode_energy(codec: HelloCodec, delay: float) -> float:
@@ -144,11 +147,11 @@ class NetworkGraph:
             adjacency[b].append(a)
         object.__setattr__(self, "_adjacency", {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()})
 
-    def neighbors(self, node_id: str) -> list[str]:
-        """Adjacent node ids in sorted order."""
+    def neighbors(self, node_id: str) -> tuple[str, ...]:
+        """Adjacent node ids in sorted order (the stored tuple, not a copy)."""
         if node_id not in self.nodes:
             raise ValueError(f"unknown node {node_id!r}")
-        return list(self._adjacency[node_id])
+        return self._adjacency[node_id]
 
     def drop_node(self, node_id: str) -> "NetworkGraph":
         """Graph with the node and all its links removed (e.g. on battery death).
@@ -191,7 +194,10 @@ def select_route(
     destination (a destination needs no relay vetting).  Relays absent from
     u's view, or with energy at most ``exhaust_threshold``, are skipped.
     Equal-cost ties resolve to the lexicographically smallest node-id
-    sequence.  Returns ``None`` when no admissible path exists.
+    sequence: labels ``(cost, path)`` are ordered as tuples, and a label no
+    better than one already pushed for the same node is never pushed, since
+    it could only pop after that node is settled.  Returns ``None`` when no
+    admissible path exists.
     """
     for name, nid in (("src", src), ("dst", dst)):
         if nid not in graph.nodes:
@@ -204,6 +210,7 @@ def select_route(
         raise ValueError(f"exhaust_threshold must lie in [0, 1), got {exhaust_threshold!r}")
 
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    best = {src: heap[0]}  # the least label pushed for each node
     visited: set[str] = set()
     while heap:
         cost, path = heapq.heappop(heap)
@@ -224,5 +231,9 @@ def select_route(
                 if energy is None or energy <= exhaust_threshold:
                     continue
                 edge = 1.0 + beta * (1.0 - energy)
-            heapq.heappush(heap, (cost + edge, path + (nxt,)))
+            label = (cost + edge, path + (nxt,))
+            if nxt in best and not label < best[nxt]:
+                continue
+            best[nxt] = label
+            heapq.heappush(heap, label)
     return None

@@ -2,22 +2,26 @@
 
 A scenario file is INI-style key/value text (sections ``[scenario]``,
 ``[codec]``, ``[nodes]``, ``[links]``, optional ``[queries]``).  Per HELLO
-period every alive node samples its ON/OFF activity, discharges its battery
-by the active time, and beacons its residual energy as a slot-quantised HELLO
-delay; receivers drop same-slot beacons pairwise (conservative collision
-rule) and decode the rest into their energy tables; each table's records
-within the staleness horizon are then selected once, and configured route
-queries are answered from them.  A node whose residual energy falls to the
-exhaustion threshold dies and leaves the topology.
+period every alive node's ON/OFF activity discharges its battery by the
+active time, and the node beacons its residual energy as a slot-quantised
+HELLO delay; receivers drop same-slot beacons pairwise (conservative
+collision rule) and decode the rest into their energy tables; each table's
+records within the staleness horizon are then selected once, and configured
+route queries are answered from them.  A node whose residual energy falls to
+the exhaustion threshold dies and leaves the topology.
 
-Everything is iterated in sorted node order; the alive nodes are sorted
-once per round, after that round's deaths.  Each node draws its activity
-from its own exponential stream, seeded once per run by (seed, node index in
-sorted order), so a node's draws do not depend on other nodes' deaths and a
-run is a pure function of (config, seed): identical inputs give
-byte-identical event logs.  Each beacon is decoded once per round, where it
-is sent, and every receiver that hears it alone writes that energy into its
-own table in place.
+A node's activity, discharge and death depend only on its own parameters and
+its own exponential stream, seeded once per run by (seed, node index in
+sorted order): beacons cost no energy and reception does not feed back.  So
+each round's residual energies and deaths come from ``_node_paths``, a
+function of (config, seed) that steps all alive nodes together, and the
+round loop does network work only: it logs deaths, sends and receives
+beacons, selects fresh records and answers routes.
+Everything is iterated in sorted node order, so a run is a pure function of
+(config, seed): identical inputs give byte-identical event logs.  A beacon's
+delay and decoded energy depend on its slot alone and are worked out once per
+slot; the table record of a slot is built once per round and shared by every
+receiver that hears a beacon in that slot alone.
 """
 
 from __future__ import annotations
@@ -26,18 +30,18 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .activity import NodeState, OnOffParams, exponential_stream, sample_on_time
-from .battery import BatteryState, SodModel, advance, predict_lifetime
+from .activity import OnOffParams, buffered_draws, on_times_lockstep
+from .battery import SodModel, predict_lifetime, sod_continuous
 from .routing import (
     EnergyTable,
     HelloCodec,
     NetworkGraph,
     TableEntry,
     decode_energy,
-    encode_delay,
     encode_slot,
     select_route,
 )
@@ -250,6 +254,45 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     )
 
 
+def _node_paths(
+    config: ScenarioConfig, seed: int, n_rounds: int
+) -> Iterator[tuple[dict[str, float], list[tuple[str, float, float]]]]:
+    """Yield, for rounds ``k = 0, ..., n_rounds``, residual energies and deaths.
+
+    Node ``i`` (in sorted order) draws from ``default_rng((seed, i))``.  Every
+    node starts ON; per round the nodes still alive step together through
+    ``on_times_lockstep`` over one HELLO period, each from the state its last
+    period ended in, and add the period's ON time to their active time.
+    Round ``k`` yields a map from each node alive at its start (every node
+    for ``k = 0``) to its residual energy ``1 - sod`` after the round, and
+    ``(node, sod, active_time)``, in sorted order, for the nodes whose
+    residual is then at most the exhaustion threshold.  Nothing here reads
+    the network, so the sequence is a function of ``(config, seed)`` alone;
+    it is produced round by round to hold one round in memory.
+    """
+    node_ids = sorted(config.nodes)
+    models = [config.nodes[nid].model for nid in node_ids]
+    lam = np.array([config.nodes[nid].activity.lam for nid in node_ids])
+    mu = np.array([config.nodes[nid].activity.mu for nid in node_ids])
+    on = np.ones(len(node_ids), dtype=bool)
+    draw = buffered_draws([np.random.default_rng((seed, i)) for i in range(len(node_ids))])
+    active = [0.0] * len(node_ids)
+    sod = [model.initial_sod for model in models]
+    alive = list(range(len(node_ids)))
+    for round_index in range(n_rounds + 1):
+        if round_index:
+            index = np.array(alive, dtype=np.intp)
+            on_time, on[index] = on_times_lockstep(
+                lam[index], mu[index], on[index], config.hello_period, lambda paths: draw(index[paths])
+            )
+            for i, period_on_time in zip(alive, on_time.tolist()):
+                active[i] += period_on_time
+                sod[i] = sod_continuous(models[i], active[i])
+        dead = [i for i in alive if 1.0 - sod[i] <= config.exhaust_threshold]
+        yield {node_ids[i]: 1.0 - sod[i] for i in alive}, [(node_ids[i], sod[i], active[i]) for i in dead]
+        alive = [i for i in alive if i not in dead]
+
+
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
     """Run one replication; returns the event log and summary metrics.
 
@@ -260,17 +303,15 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     if seed is None:
         seed = config.seeds[0]
     node_ids = sorted(config.nodes)
-    draws = {nid: exponential_stream(np.random.default_rng((seed, i))) for i, nid in enumerate(node_ids)}
-    battery = {nid: BatteryState.fresh(config.nodes[nid].model) for nid in node_ids}
-    chain_state = {nid: NodeState.ON for nid in node_ids}
+    codec = config.codec
+    n_rounds = int(math.floor(config.horizon / config.hello_period + 1e-9))
+    paths = _node_paths(config, seed, n_rounds)
+    residual, dying = next(paths)  # each node's latest residual; a dead node keeps its last
     tables: dict[str, EnergyTable] = {nid: EnergyTable() for nid in node_ids}
     graph = NetworkGraph(frozenset(node_ids), config.links)
-    alive = node_ids
+    beacon: dict[int, tuple[str, float, str]] = {}  # slot -> (delay repr, energy, energy repr)
 
     events: list[str] = []
-
-    def log(time: float, kind: str, node: str, details: str) -> None:
-        events.append(f"{time!r},{kind},{node},{details}")
 
     hello_sent = 0
     hello_dropped = 0
@@ -280,42 +321,36 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     error_sum = 0.0
     error_count = 0
 
-    def check_deaths(now: float) -> None:
-        nonlocal graph, alive
-        for nid in alive:
-            state = battery[nid]
-            if state.residual_energy <= config.exhaust_threshold:
-                graph = graph.drop_node(nid)
-                log(now, "death", nid, f"sod={state.sod!r};active_time={state.active_time!r}")
-        alive = sorted(graph.nodes)
+    def bury(stamp: str, dying: list[tuple[str, float, float]]) -> list[str]:
+        nonlocal graph
+        for nid, sod, active_time in dying:
+            graph = graph.drop_node(nid)
+            events.append(f"{stamp},death,{nid},sod={sod!r};active_time={active_time!r}")
+        return sorted(graph.nodes)
 
-    check_deaths(0.0)
-
-    n_rounds = int(math.floor(config.horizon / config.hello_period + 1e-9))
-    for round_index in range(1, n_rounds + 1):
+    alive = bury(repr(0.0), dying)
+    for round_index, (round_residual, dying) in enumerate(paths, start=1):
         now = round_index * config.hello_period
+        stamp = repr(now)
+        residual.update(round_residual)
+        if dying:
+            alive = bury(stamp, dying)
 
-        # Activity and discharge over the elapsed period.
-        for nid in alive:
-            on_time, chain_state[nid] = sample_on_time(
-                config.nodes[nid].activity,
-                chain_state[nid],
-                config.hello_period,
-                draws[nid],
-            )
-            battery[nid] = advance(battery[nid], on_time)
-        check_deaths(now)
-
-        # HELLO beacons, slotted by residual energy; each decodes to one energy.
+        # HELLO beacons, slotted by residual energy; a slot's delay and
+        # decoded energy are worked out the first time it is sent, and its
+        # table record once per round, shared by every receiver.
         slot_of: dict[str, int] = {}
-        energy_of: dict[str, float] = {}
+        entries: dict[int, TableEntry] = {}
         for nid in alive:
-            residual = battery[nid].residual_energy
-            slot_of[nid] = encode_slot(config.codec, residual)
-            delay = encode_delay(config.codec, residual)
-            energy_of[nid] = decode_energy(config.codec, delay)
-            hello_sent += 1
-            log(now, "hello", nid, f"slot={slot_of[nid]};delay={delay!r};residual={residual!r}")
+            slot = slot_of[nid] = encode_slot(codec, residual[nid])
+            if slot not in beacon:
+                delay = codec.delay(slot)
+                energy = decode_energy(codec, delay)
+                beacon[slot] = (repr(delay), energy, repr(energy))
+            if slot not in entries:
+                entries[slot] = TableEntry(beacon[slot][1], now)
+            events.append(f"{stamp},hello,{nid},slot={slot};delay={beacon[slot][0]};residual={residual[nid]!r}")
+        hello_sent += len(alive)
 
         # Per-receiver reception; same-slot beacons cancel each other out.
         for receiver in alive:
@@ -327,33 +362,32 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 group = by_slot[slot]
                 if len(group) > 1:
                     hello_dropped += len(group)
-                    log(now, "collision", receiver, f"slot={slot};senders={'|'.join(group)}")
+                    events.append(f"{stamp},collision,{receiver},slot={slot};senders={'|'.join(group)}")
                     continue
                 sender = group[0]
-                records[sender] = TableEntry(energy_of[sender], now)
+                records[sender] = entries[slot]
                 table_updates += 1
-                log(now, "table", receiver, f"neighbor={sender};energy={energy_of[sender]!r}")
+                events.append(f"{stamp},table,{receiver},neighbor={sender};energy={beacon[slot][2]}")
 
         # Each receiver's fresh records, decided once per round; the table
         # accuracy bookkeeping and every route query read this one view.
         known = {receiver: tables[receiver].fresh(now, config.staleness) for receiver in alive}
         for receiver in alive:
             for neighbor, energy in sorted(known[receiver].items()):
-                error_sum += abs(energy - battery[neighbor].residual_energy)
+                error_sum += abs(energy - residual[neighbor])
                 error_count += 1
 
         # Route queries answered from the fresh records.
         for src, dst in config.queries:
             route_queries += 1
-            if src not in graph.nodes or dst not in graph.nodes:
-                log(now, "route", src, f"dst={dst};path=none")
-                continue
-            result = select_route(graph, known, src, dst, config.beta, config.exhaust_threshold)
+            result = None
+            if src in graph.nodes and dst in graph.nodes:
+                result = select_route(graph, known, src, dst, config.beta, config.exhaust_threshold)
             if result is None:
-                log(now, "route", src, f"dst={dst};path=none")
+                events.append(f"{stamp},route,{src},dst={dst};path=none")
             else:
                 delivered_routes += 1
-                log(now, "route", src, f"dst={dst};path={'>'.join(result.path)};cost={result.cost!r}")
+                events.append(f"{stamp},route,{src},dst={dst};path={'>'.join(result.path)};cost={result.cost!r}")
 
     metrics: dict[str, float] = {
         "rounds": float(n_rounds),

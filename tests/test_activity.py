@@ -14,9 +14,11 @@ from onoffnet.activity import (
     OnOffParams,
     Segment,
     Trajectory,
+    _sojourns,
+    buffered_draws,
     exponential_stream,
     monte_carlo_on_times,
-    sample_on_time,
+    on_times_lockstep,
     sample_trajectory,
     total_on_time,
 )
@@ -169,6 +171,20 @@ def test_monte_carlo_on_times_reproducible():
 _RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 
 
+def stream_draw(streams):
+    """A ``draw`` for ``on_times_lockstep``: path ``p`` reads ``streams[p]``."""
+    return lambda paths: np.array([next(streams[p]) for p in paths.tolist()])
+
+
+def one_path(params, initial, horizon, draws):
+    """``on_times_lockstep`` on the single path ``(params, initial)``."""
+    on_time, final_on = on_times_lockstep(
+        np.array([params.lam]), np.array([params.mu]), np.array([initial is NodeState.ON]),
+        horizon, stream_draw([draws]),
+    )
+    return on_time.tolist()[0], NodeState.ON if final_on[0] else NodeState.OFF
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     lam=_RATES,
@@ -180,7 +196,7 @@ _RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, seed):
     params = OnOffParams(lam, mu)
     traj = sample_trajectory(params, initial, horizon, seed)
-    assert sample_on_time(params, initial, horizon, exponential_stream(np.random.default_rng(seed))) == (
+    assert one_path(params, initial, horizon, exponential_stream(np.random.default_rng(seed))) == (
         total_on_time(traj),
         traj.segments[-1].state,
     )
@@ -195,10 +211,65 @@ def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, see
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_single_monte_carlo_run_is_the_scalar_path(lam, mu, initial, horizon, seed):
-    # The batched loop, at one path, consumes the stream as the scalar one does.
+    # Monte Carlo, at one path, draws one value per numpy call and consumes
+    # the generator as the block stream of the scalar loop does.
     params = OnOffParams(lam, mu)
     batched = monte_carlo_on_times(params, initial, horizon, 1, seed)
-    assert batched[0] == sample_on_time(params, initial, horizon, exponential_stream(np.random.default_rng(seed)))[0]
+    assert batched[0] == one_path(params, initial, horizon, exponential_stream(np.random.default_rng(seed)))[0]
+
+
+_PATH = st.tuples(_RATES, _RATES, st.sampled_from(NodeState), st.integers(min_value=0, max_value=2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    paths=st.lists(_PATH, min_size=1, max_size=8),
+    horizons=st.lists(st.floats(min_value=1e-3, max_value=20.0), min_size=1, max_size=4),
+)
+def test_lockstep_paths_equal_their_scalar_trajectories(paths, horizons):
+    # Each path reads consecutive periods from one stream, its state carried
+    # over, as a scenario node does; per period the core must give the
+    # scalar trajectory's total and last state bit for bit.
+    lam = np.array([p[0] for p in paths])
+    mu = np.array([p[1] for p in paths])
+    on = np.array([p[2] is NodeState.ON for p in paths])
+    streams = [exponential_stream(np.random.default_rng(p[3])) for p in paths]
+    scalar_streams = [exponential_stream(np.random.default_rng(p[3])) for p in paths]
+    states = [p[2] for p in paths]
+    for horizon in horizons:
+        on_time, on = on_times_lockstep(lam, mu, on, horizon, stream_draw(streams))
+        for i, (path_lam, path_mu, _, _) in enumerate(paths):
+            traj = Trajectory(
+                horizon,
+                tuple(Segment(*s) for s in _sojourns(OnOffParams(path_lam, path_mu), states[i], horizon, scalar_streams[i])),
+            )
+            states[i] = traj.segments[-1].state
+            assert on_time.tolist()[i] == total_on_time(traj)
+            assert on[i] == (states[i] is NodeState.ON)
+
+
+@pytest.mark.parametrize("stuck", [False, True], ids=["all-moving", "one-absorbed"])
+def test_zero_draws_are_drawn_again(stuck):
+    # A zero draw (probability about 2**-53) would make a zero-length
+    # sojourn; the core draws again for that path alone until it is
+    # positive, as the scalar loop does.  With ``stuck``, a third path that
+    # never leaves ON takes the branch where some paths draw nothing.
+    values = {0: [0.0, 0.0, 0.4, 5.0], 1: [0.7, 5.0]}
+    calls = []
+
+    def draw(paths):
+        calls.append(paths.tolist())
+        return np.array([values[p].pop(0) for p in paths.tolist()])
+
+    lam, mu, on = [1.0, 2.0], [1.0, 1.0], [True, True]
+    if stuck:
+        lam, mu, on = lam + [0.0], mu + [1.0], on + [True]
+    on_time, final_on = on_times_lockstep(np.array(lam), np.array(mu), np.array(on), 3.0, draw)
+    assert calls == [[0, 1], [0], [0], [0, 1]]
+    assert on_time.tolist() == [0.4, 0.35] + [3.0] * stuck
+    assert final_on.tolist() == [False, False] + [True] * stuck
+    scalar = list(_sojourns(OnOffParams(1.0, 1.0), NodeState.ON, 3.0, iter([0.0, 0.0, 0.4, 5.0])))
+    assert [s[2] for s in scalar] == [0.4, 2.6]
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,6 +284,22 @@ def test_exponential_stream_is_the_scalar_draws(n, seed):
     drawn = [next(stream) for _ in range(n)]
     assert drawn == [scalar.standard_exponential() for _ in range(n)]
     assert all(type(value) is float for value in drawn)  # so repr() prints as before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_buffered_draws_are_each_generators_scalar_draws(seeds, data):
+    # Whatever subsets of paths ask, and however often, path p reads its own
+    # generator's scalar draws in order, across block refills.
+    draw = buffered_draws([np.random.default_rng(seed) for seed in seeds])
+    scalar = [np.random.default_rng(seed) for seed in seeds]
+    subsets = st.lists(st.integers(min_value=0, max_value=len(seeds) - 1), unique=True).map(sorted)
+    for paths in data.draw(st.lists(subsets, max_size=80)):
+        values = draw(np.array(paths, dtype=np.intp))
+        assert values.tolist() == [scalar[p].standard_exponential() for p in paths]
 
 
 def test_monte_carlo_bit_stream_is_pinned():

@@ -212,11 +212,11 @@ def test_graph_drop_node():
     reduced = graph.drop_node("B")
     assert set(reduced.nodes) == {"A", "C"}
     assert reduced.links == frozenset()
-    assert reduced.neighbors("A") == []
+    assert reduced.neighbors("A") == ()
     with pytest.raises(ValueError):
         reduced.neighbors("B")
-    assert graph.neighbors("A") == ["B"]  # original untouched
-    assert graph.neighbors("B") == ["A", "C"]
+    assert graph.neighbors("A") == ("B",)  # original untouched
+    assert graph.neighbors("B") == ("A", "C")
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,8 +240,8 @@ def test_graph_after_drops_equals_graph_built_from_scratch(data, n_nodes):
 
 def test_graph_neighbors_sorted_whatever_the_link_order():
     graph = make_graph("ABCDE", [("C", "E"), ("C", "A"), ("D", "C"), ("B", "C")])
-    assert graph.neighbors("C") == ["A", "B", "D", "E"]
-    assert graph.neighbors("E") == ["C"]
+    assert graph.neighbors("C") == ("A", "B", "D", "E")
+    assert graph.neighbors("E") == ("C",)
     with pytest.raises(ValueError):
         graph.neighbors("Z")
 

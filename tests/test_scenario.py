@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,73 @@ def test_output_lock(tmp_path):
     )
     assert hashlib.sha256(metrics.encode()).hexdigest() == (
         "b9b52396103ffd4a05f7b527eb4b230b7e10f97143c83b3b216760cfa3781b70"
+    )
+
+
+def network_lock_config() -> str:
+    """A 64-node scenario drawn from ``random.Random(2024)``, for the second lock.
+
+    N00 starts dead (f_init >= 1 - exhaust_threshold); N01-N03 never leave ON
+    (lambda=0) and N04-N06 never leave OFF once there (mu=0); eight slots make
+    collisions common; staleness above the HELLO period keeps dead
+    neighbours' last records fresh, so they feed ``mean_table_error``.
+    """
+    rng = random.Random(2024)
+    ids = [f"N{i:02d}" for i in range(64)]
+    pos = [(rng.random(), rng.random()) for _ in ids]
+    nodes = []
+    for i, nid in enumerate(ids):
+        k = rng.uniform(0.002, 0.04)
+        tau = rng.uniform(5.0, 60.0)
+        f_init = 0.97 if i == 0 else rng.uniform(0.0, 0.5)
+        lam = 0.0 if 1 <= i <= 3 else rng.uniform(0.1, 3.0)
+        mu = 0.0 if 4 <= i <= 6 else rng.uniform(0.1, 3.0)
+        nodes.append(f"{nid} = k={k!r} tau={tau!r} capacity=1 f_init={f_init!r} lambda={lam!r} mu={mu!r}")
+    pairs = [
+        f"{a}-{b}"
+        for i, (a, pa) in enumerate(zip(ids, pos))
+        for b, pb in zip(ids[i + 1:], pos[i + 1:])
+        if (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 < 0.2**2
+    ]
+    routes = [f"{src}:{dst}" for src, dst in (rng.sample(ids, 2) for _ in range(8))]
+    return "\n".join([
+        "[scenario]",
+        "horizon = 40",
+        "hello_period = 2",
+        "staleness = 5",
+        "beta = 1.5",
+        "exhaust_threshold = 0.05",
+        "seeds = 5",
+        "[codec]",
+        "d_min = 0.0",
+        "d_max = 1.0",
+        "slots = 8",
+        "[nodes]",
+        *nodes,
+        "[links]",
+        f"pairs = {' '.join(pairs)}",
+        "[queries]",
+        f"routes = {' '.join(routes)}",
+    ]) + "\n"
+
+
+def test_network_output_lock(tmp_path):
+    # Pins the exact bytes of a sampled run on a network large enough to
+    # exercise every branch of the per-node sampling: rate-0 states, deaths
+    # at t=0 and mid-run, collisions, and stale-but-fresh records of dead
+    # neighbours.
+    result = run_scenario(load_scenario_config(write_config(tmp_path, network_lock_config())))
+    events = "\n".join(result.events)
+    assert "0.0,death,N00,sod=0.97;active_time=0.0" in events
+    assert ",collision," in events
+    assert "20.0,death,N10," in events
+    assert result.metrics["dead_nodes"] == 9.0
+    metrics = "\n".join(f"{key},{value!r}" for key, value in result.metrics.items())
+    assert hashlib.sha256(events.encode()).hexdigest() == (
+        "f86326d92da3c6ce7764de047bad59dd729785dd0eed9a5f38d11c054c0b148f"
+    )
+    assert hashlib.sha256(metrics.encode()).hexdigest() == (
+        "ba47db912ec17936f656bac7daaf37e0e508c341c6763e02c0bbb532a3863e34"
     )
 
 
