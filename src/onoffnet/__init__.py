@@ -19,7 +19,7 @@ _SUBMODULE_NAMES = {
         "sod_continuous", "sod_modulated",
     ),
     "occupancy": (
-        "DensityCurve", "OccupancySpec", "OccupationLaw", "closed_form_gap", "density_curve",
+        "OccupancySpec", "OccupationLaw", "closed_form_gap", "density_curve",
         "exact_occupation_distribution", "mean_on_time", "on_time_cdf", "on_time_density",
     ),
     "routing": (

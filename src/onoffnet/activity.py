@@ -12,14 +12,13 @@ exponential draw divided by the leaving rate, and a draw that comes out zero
 is drawn again.  ``GENERATOR_ID`` is recorded in output file headers so
 archived runs name the bit stream they were produced with.
 
-There is one sampling loop, in two forms with the same arithmetic per path.
-``sample_trajectory`` builds the validated segments of one path, read by the
-private generator ``_sojourns`` from an ``exponential_stream`` (block draws,
-the values scalar calls give).  ``on_times_lockstep`` keeps only the total ON
-time and final state of many independent paths, each with its own rates and
-start state, stepped together one sojourn per step; it reads its draws from
-a callable, so ``monte_carlo_on_times`` feeds it from one generator and the
+There is one sampling loop, the private step generator ``_lockstep``: it
+steps many independent paths together, one sojourn per step, each path with
+its own rates and start state, and reads its draws from a callable.  It has
+two readers.  ``on_times_lockstep`` keeps only each path's total ON time and
+final state; ``monte_carlo_on_times`` feeds it from one generator and the
 scenario from one generator per node, through ``buffered_draws``.
+``sample_trajectory`` runs one path and builds a segment per step.
 """
 
 from __future__ import annotations
@@ -37,18 +36,15 @@ GENERATOR_ID = "numpy-pcg64"
 # float64, so consecutive starts can drift by a few ulps from exact telescoping.
 _TILE_TOL = 1e-12
 
-# Draws per refill of an exponential stream.  A node keeps at most this many
-# unread floats; larger blocks add little speed and grow the scenario's memory.
+# Draws per refill of a path's generator in ``buffered_draws``.  A node keeps at
+# most this many unread floats; larger blocks add little speed and grow the
+# scenario's memory.
 _BLOCK = 32
 
 
 class NodeState(Enum):
     ON = "ON"
     OFF = "OFF"
-
-    @property
-    def other(self) -> "NodeState":
-        return NodeState.OFF if self is NodeState.ON else NodeState.ON
 
 
 @dataclass(frozen=True)
@@ -66,10 +62,6 @@ class OnOffParams:
         for name, value in (("lam", self.lam), ("mu", self.mu)):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def leaving_rate(self, state: NodeState) -> float:
-        """Rate at which the chain leaves ``state`` (the negated generator diagonal)."""
-        return self.lam if state is NodeState.ON else self.mu
 
 
 @dataclass(frozen=True)
@@ -133,24 +125,12 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
 
 
-def exponential_stream(rng: np.random.Generator) -> Iterator[float]:
-    """Standard exponential draws from ``rng``, refilled ``_BLOCK`` at a time.
-
-    Yields, as Python floats, exactly the values of repeated scalar
-    ``rng.standard_exponential()`` calls in their order, at a fraction of
-    the cost; ``rng`` runs up to ``_BLOCK - 1`` draws ahead of the reader.
-    """
-    while True:
-        yield from rng.standard_exponential(_BLOCK).tolist()
-
-
 def buffered_draws(rngs: list[np.random.Generator]) -> Callable[[np.ndarray], np.ndarray]:
     """A ``draw`` for ``on_times_lockstep`` in which path ``p`` reads ``rngs[p]``.
 
-    Each generator is read as ``exponential_stream`` reads it, ``_BLOCK``
-    values per refill, so path ``p`` gets exactly the values of repeated
-    scalar ``rngs[p].standard_exponential()`` calls in their order; only the
-    refills cost a Python step per path.
+    Each generator is read ``_BLOCK`` values per refill, and path ``p`` gets
+    exactly the values of repeated scalar ``rngs[p].standard_exponential()``
+    calls in their order; only the refills cost a Python step per path.
     """
     block = np.empty((len(rngs), _BLOCK))
     used = np.full(len(rngs), _BLOCK)  # values of each row already handed out
@@ -167,35 +147,49 @@ def buffered_draws(rngs: list[np.random.Generator]) -> Callable[[np.ndarray], np
     return draw
 
 
-def _sojourns(
-    params: OnOffParams,
-    initial: NodeState,
+def _lockstep(
+    lam: np.ndarray,
+    mu: np.ndarray,
+    on: np.ndarray,
     horizon: float,
-    draws: Iterator[float],
-) -> Iterator[tuple[NodeState, float, float]]:
-    """Yield ``(state, start, duration)`` for each sojourn tiling ``[0, horizon]``.
+    draw: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Step independent paths over ``[0, horizon]`` together, one sojourn each.
 
-    The scalar sampling loop, reading standard exponentials from ``draws``;
-    ``on_times_lockstep`` does the same arithmetic per path.  The law is
-    described in ``sample_trajectory``.
+    Path ``i`` leaves ON at rate ``lam[i]`` and OFF at rate ``mu[i]``, and
+    starts ON where ``on[i]`` is true.  Each step yields ``(paths, now_on,
+    start, length)``: the indices of the unfinished paths, in increasing
+    order, and for each its state, the sojourn's start and its length, the
+    last sojourn clipped at the horizon (censored, not resampled).
+    ``draw(paths)`` returns one standard exponential for each listed path
+    index, in the listed order, and a sojourn is that draw divided by the
+    leaving rate; zero draws are drawn again the same way.  A path finishes
+    at its first sojourn that reaches the horizon, or at once in a state it
+    cannot leave (rate 0), without a draw.
     """
     _check_horizon(horizon)
-    state, other = initial, initial.other
-    rate, other_rate = params.leaving_rate(state), params.leaving_rate(other)
-    elapsed = 0.0
-    while elapsed < horizon:
-        if rate == 0.0:
-            yield state, elapsed, horizon - elapsed
-            return
-        duration = 0.0
-        while duration <= 0.0:
-            duration = next(draws) / rate
-        if elapsed + duration >= horizon:
-            yield state, elapsed, horizon - elapsed
-            return
-        yield state, elapsed, duration
-        elapsed += duration
-        state, other, rate, other_rate = other, state, other_rate, rate
+    now_on = np.array(on, dtype=bool)
+    paths = np.arange(now_on.size)
+    start = np.zeros(now_on.size)
+    while paths.size:
+        rate = np.where(now_on, lam[paths], mu[paths])
+        if rate.all():
+            duration = draw(paths) / rate
+            redraw = (duration <= 0.0).nonzero()[0]
+        else:
+            # A path that cannot leave its state runs out the horizon in it.
+            moving = rate.nonzero()[0]
+            duration = np.full(paths.size, math.inf)
+            duration[moving] = draw(paths[moving]) / rate[moving]
+            redraw = moving[duration[moving] <= 0.0]
+        while redraw.size:
+            duration[redraw] = draw(paths[redraw]) / rate[redraw]
+            redraw = redraw[duration[redraw] <= 0.0]
+        end = start + duration
+        done = end >= horizon
+        yield paths, now_on, start, np.where(done, horizon - start, duration)
+        running = ~done
+        paths, now_on, start = paths[running], ~now_on[running], end[running]
 
 
 def sample_trajectory(
@@ -208,10 +202,24 @@ def sample_trajectory(
 
     Sojourn durations are exponential with the leaving rate of the current
     state; the final sojourn is clipped at the horizon (censored, not
-    resampled).  Deterministic in ``(params, initial, horizon, seed)``.
+    resampled).  ``_lockstep`` on one path, drawing from
+    ``default_rng(seed)`` as ``monte_carlo_on_times`` does, so
+    ``monte_carlo_on_times(params, initial, horizon, 1, seed)`` is this
+    path's ``total_on_time``.  Deterministic in ``(params, initial, horizon,
+    seed)``.
     """
-    draws = exponential_stream(np.random.default_rng(seed))
-    segments = tuple(Segment(*sojourn) for sojourn in _sojourns(params, initial, horizon, draws))
+    rng = np.random.default_rng(seed)
+    steps = _lockstep(
+        np.array([params.lam]),
+        np.array([params.mu]),
+        np.array([initial is NodeState.ON]),
+        horizon,
+        lambda paths: rng.standard_exponential(paths.size),
+    )
+    segments = tuple(
+        Segment(NodeState.ON if now_on[0] else NodeState.OFF, start.item(), length.item())
+        for _, now_on, start, length in steps
+    )
     return Trajectory(horizon, segments)
 
 
@@ -238,43 +246,14 @@ def on_times_lockstep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total ON time and final state of independent paths over ``[0, horizon]``.
 
-    Path ``i`` leaves ON at rate ``lam[i]`` and OFF at rate ``mu[i]``, and
-    starts ON where ``on[i]`` is true.  Every unfinished path takes one
-    sojourn per step: ``draw(paths)`` returns one standard exponential for
-    each listed path index, in the listed order, and zero draws are drawn
-    again the same way.  A path finishes at its first sojourn that reaches
-    the horizon, or at once in a state it cannot leave (rate 0), without a
-    draw.  Per path the arithmetic is that of ``_sojourns``, so a path whose
-    draws come from ``exponential_stream(default_rng(seed))`` gives, bit for
-    bit, ``total_on_time`` and the last segment's state of
-    ``sample_trajectory`` at that seed.  Returns ``(on_time, final_on)``.
+    The paths and draws are those of ``_lockstep``; each path's ON sojourns
+    are added left to right.  Returns ``(on_time, final_on)``.
     """
-    _check_horizon(horizon)
+    on_time = np.zeros(len(on))
     final_on = np.array(on, dtype=bool)
-    on_time = np.zeros(final_on.size)
-    paths = np.arange(final_on.size)  # indices of the unfinished paths
-    elapsed = np.zeros(final_on.size)
-    while paths.size:
-        now_on = final_on[paths]
-        rate = np.where(now_on, lam[paths], mu[paths])
-        if rate.all():
-            duration = draw(paths) / rate
-            redraw = np.flatnonzero(duration <= 0.0)
-        else:
-            # A path that cannot leave its state runs out the horizon in it.
-            moving = np.flatnonzero(rate)
-            duration = np.full(paths.size, math.inf)
-            duration[moving] = draw(paths[moving]) / rate[moving]
-            redraw = moving[duration[moving] <= 0.0]
-        while redraw.size:
-            duration[redraw] = draw(paths[redraw]) / rate[redraw]
-            redraw = redraw[duration[redraw] <= 0.0]
-        end = elapsed + duration
-        done = end >= horizon
-        on_time[paths] += np.where(now_on, np.where(done, horizon - elapsed, duration), 0.0)
-        running = ~done
-        final_on[paths[running]] = ~now_on[running]
-        paths, elapsed = paths[running], end[running]
+    for paths, now_on, _, length in _lockstep(lam, mu, on, horizon, draw):
+        on_time[paths] += np.where(now_on, length, 0.0)
+        final_on[paths] = now_on
     return on_time, final_on
 
 
@@ -288,8 +267,7 @@ def monte_carlo_on_times(
     """Total ON times of ``n_runs`` independent trajectories.
 
     ``on_times_lockstep`` with every path drawing, in path order, from one
-    ``default_rng(base_seed)``; ``n_runs=1`` consumes that generator as
-    ``sample_trajectory`` does at the same seed.
+    ``default_rng(base_seed)``.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")

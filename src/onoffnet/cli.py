@@ -85,20 +85,24 @@ def cmd_density(args: argparse.Namespace) -> None:
         xs = [float(tok) for tok in args.x.split(",") if tok]
         if not xs:
             raise ValueError("--x needs at least one value")
-        curves = [density_curve(_spec_for_gap(x, args.horizon), args.points) for x in xs]
-        lines = [
-            _tool_header("density"),
+        specs = [_spec_for_gap(x, args.horizon) for x in xs]
+        header = [
             f"# horizon={args.horizon!r} points={args.points} xs={','.join(repr(x) for x in xs)}",
             "theta," + ",".join(f"x={x!r}" for x in xs),
         ]
-        grid = curves[0].grid
-        for i, theta in enumerate(grid):
-            lines.append(f"{float(theta)!r}," + ",".join(f"{float(c.values[i])!r}" for c in curves))
     else:
         if args.lam is None or args.mu is None:
             raise ValueError("give --x, or both --lambda and --mu")
         spec = OccupancySpec(OnOffParams(args.lam, args.mu), args.horizon)
-        lines = [_tool_header("density")] + density_curve(spec, args.points).csv_lines()
+        specs = [spec]
+        header = [
+            f"# lambda={args.lam!r} mu={args.mu!r} horizon={args.horizon!r} x={spec.rate_gap!r}",
+            "theta,density",
+        ]
+    curves = [density_curve(spec, args.points) for spec in specs]
+    lines = [_tool_header("density"), *header]
+    for i, theta in enumerate(curves[0][0]):
+        lines.append(f"{float(theta)!r}," + ",".join(f"{float(values[i])!r}" for _, values in curves))
     _write_lines(_resolve_out(args.out), lines)
 
 

@@ -88,35 +88,6 @@ class OccupancySpec:
         return self.params.mu - self.params.lam
 
 
-@dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """On-time density sampled on a strictly increasing grid over ``[0, t]``."""
-
-    spec: OccupancySpec
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if self.grid.size < 2:
-            raise ValueError("a curve needs at least two grid points")
-        if not np.all(np.diff(self.grid) > 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(self.values < 0.0):
-            raise ValueError("density values must be >= 0")
-
-    def csv_lines(self) -> list[str]:
-        """Self-describing CSV: ``#`` parameter header then ``theta,density`` rows."""
-        p = self.spec.params
-        lines = [
-            f"# lambda={p.lam!r} mu={p.mu!r} horizon={self.spec.horizon!r} x={self.spec.rate_gap!r}",
-            "theta,density",
-        ]
-        lines.extend(f"{float(th)!r},{float(v)!r}" for th, v in zip(self.grid, self.values))
-        return lines
-
-
 def _check_theta(theta: np.ndarray, horizon: float) -> None:
     if np.any(theta < 0.0) or np.any(theta > horizon):
         raise ValueError(f"theta must lie in [0, {horizon}]")
@@ -244,12 +215,12 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     return float(np.sum(half * weights * density * g(theta)))
 
 
-def density_curve(spec: OccupancySpec, n_points: int) -> DensityCurve:
-    """Evaluate the density on a uniform ``n_points`` grid spanning ``[0, t]``."""
+def density_curve(spec: OccupancySpec, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(grid, values)``: the density on a uniform ``n_points`` grid spanning ``[0, t]``."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     grid = np.linspace(0.0, spec.horizon, n_points)
-    return DensityCurve(spec, grid, on_time_density(spec, grid))
+    return grid, on_time_density(spec, grid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -127,16 +127,17 @@ def update_energy_table(
 class NetworkGraph:
     """Alive nodes and the undirected links between them.
 
-    The sorted neighbour list of every node is built once, at construction.
+    The links are validated and kept only as the sorted neighbour list of
+    every node, built once, at construction.
     """
 
     nodes: frozenset[str]
-    links: frozenset[frozenset[str]]
+    links: InitVar[frozenset[frozenset[str]]]
     _adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, links: frozenset[frozenset[str]]) -> None:
         adjacency: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for link in self.links:
+        for link in links:
             if len(link) != 2:
                 raise ValueError(f"link must join two distinct nodes, got {set(link)!r}")
             missing = link - self.nodes
@@ -166,7 +167,6 @@ class NetworkGraph:
             adjacency[nbr] = tuple(n for n in adjacency[nbr] if n != node_id)
         graph = object.__new__(NetworkGraph)
         object.__setattr__(graph, "nodes", self.nodes - {node_id})
-        object.__setattr__(graph, "links", self.links - {frozenset((node_id, nbr)) for nbr in dropped})
         object.__setattr__(graph, "_adjacency", adjacency)
         return graph
 

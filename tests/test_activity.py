@@ -14,9 +14,7 @@ from onoffnet.activity import (
     OnOffParams,
     Segment,
     Trajectory,
-    _sojourns,
     buffered_draws,
-    exponential_stream,
     monte_carlo_on_times,
     on_times_lockstep,
     sample_trajectory,
@@ -29,9 +27,6 @@ def test_params_validation():
         OnOffParams(-0.1, 1.0)
     with pytest.raises(ValueError):
         OnOffParams(0.0, math.inf)
-    p = OnOffParams(0.25, 0.5)
-    assert p.leaving_rate(NodeState.ON) == 0.25
-    assert p.leaving_rate(NodeState.OFF) == 0.5
 
 
 # --- trajectory construction -------------------------------------------
@@ -171,6 +166,37 @@ def test_monte_carlo_on_times_reproducible():
 _RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 
 
+def scalar_draws(seed):
+    """Standard exponentials from ``default_rng(seed)``, one scalar call per value."""
+    return iter(np.random.default_rng(seed).standard_exponential, None)
+
+
+def scalar_sojourns(params, initial, horizon, draws):
+    """Oracle: the scalar sampling loop, one ``(state, start, duration)`` per sojourn.
+
+    Reads standard exponentials from ``draws``; a sojourn is a draw divided
+    by the leaving rate, zero draws are drawn again, a state with rate 0 runs
+    out the horizon without a draw, and the last sojourn is clipped at the
+    horizon.
+    """
+    state, elapsed = initial, 0.0
+    while True:
+        rate = params.lam if state is NodeState.ON else params.mu
+        duration = 0.0
+        while rate != 0.0 and duration <= 0.0:
+            duration = next(draws) / rate
+        if rate == 0.0 or elapsed + duration >= horizon:
+            yield state, elapsed, horizon - elapsed
+            return
+        yield state, elapsed, duration
+        elapsed += duration
+        state = NodeState.OFF if state is NodeState.ON else NodeState.ON
+
+
+def scalar_trajectory(params, initial, horizon, draws):
+    return Trajectory(horizon, tuple(Segment(*s) for s in scalar_sojourns(params, initial, horizon, draws)))
+
+
 def stream_draw(streams):
     """A ``draw`` for ``on_times_lockstep``: path ``p`` reads ``streams[p]``."""
     return lambda paths: np.array([next(streams[p]) for p in paths.tolist()])
@@ -185,37 +211,46 @@ def one_path(params, initial, horizon, draws):
     return on_time.tolist()[0], NodeState.ON if final_on[0] else NodeState.OFF
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_PATH_CASE = dict(
     lam=_RATES,
     mu=_RATES,
     initial=st.sampled_from(NodeState),
     horizon=st.floats(min_value=1e-3, max_value=50.0),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_PATH_CASE)
+def test_sampled_trajectory_is_the_scalar_loop(lam, mu, initial, horizon, seed):
+    # Bit for bit, and as Python floats: an np.float64 would print as
+    # np.float64(...) under numpy 2 and change csv_rows and the segments CSV.
+    params = OnOffParams(lam, mu)
+    segments = sample_trajectory(params, initial, horizon, seed).segments
+    assert segments == scalar_trajectory(params, initial, horizon, scalar_draws(seed)).segments
+    assert all(type(seg.start) is float and type(seg.duration) is float for seg in segments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_PATH_CASE)
 def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, seed):
+    # The core's two readers agree: totals and last state against segments.
     params = OnOffParams(lam, mu)
     traj = sample_trajectory(params, initial, horizon, seed)
-    assert one_path(params, initial, horizon, exponential_stream(np.random.default_rng(seed))) == (
+    assert one_path(params, initial, horizon, scalar_draws(seed)) == (
         total_on_time(traj),
         traj.segments[-1].state,
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    lam=_RATES,
-    mu=_RATES,
-    initial=st.sampled_from(NodeState),
-    horizon=st.floats(min_value=1e-3, max_value=50.0),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-)
+@given(**_PATH_CASE)
 def test_single_monte_carlo_run_is_the_scalar_path(lam, mu, initial, horizon, seed):
-    # Monte Carlo, at one path, draws one value per numpy call and consumes
-    # the generator as the block stream of the scalar loop does.
+    # Monte Carlo, at one path, draws one value per numpy call: the scalar
+    # draws of its generator.
     params = OnOffParams(lam, mu)
     batched = monte_carlo_on_times(params, initial, horizon, 1, seed)
-    assert batched[0] == one_path(params, initial, horizon, exponential_stream(np.random.default_rng(seed)))[0]
+    assert batched[0] == total_on_time(scalar_trajectory(params, initial, horizon, scalar_draws(seed)))
 
 
 _PATH = st.tuples(_RATES, _RATES, st.sampled_from(NodeState), st.integers(min_value=0, max_value=2**64 - 1))
@@ -233,16 +268,13 @@ def test_lockstep_paths_equal_their_scalar_trajectories(paths, horizons):
     lam = np.array([p[0] for p in paths])
     mu = np.array([p[1] for p in paths])
     on = np.array([p[2] is NodeState.ON for p in paths])
-    streams = [exponential_stream(np.random.default_rng(p[3])) for p in paths]
-    scalar_streams = [exponential_stream(np.random.default_rng(p[3])) for p in paths]
+    streams = [scalar_draws(p[3]) for p in paths]
+    oracle_streams = [scalar_draws(p[3]) for p in paths]
     states = [p[2] for p in paths]
     for horizon in horizons:
         on_time, on = on_times_lockstep(lam, mu, on, horizon, stream_draw(streams))
         for i, (path_lam, path_mu, _, _) in enumerate(paths):
-            traj = Trajectory(
-                horizon,
-                tuple(Segment(*s) for s in _sojourns(OnOffParams(path_lam, path_mu), states[i], horizon, scalar_streams[i])),
-            )
+            traj = scalar_trajectory(OnOffParams(path_lam, path_mu), states[i], horizon, oracle_streams[i])
             states[i] = traj.segments[-1].state
             assert on_time.tolist()[i] == total_on_time(traj)
             assert on[i] == (states[i] is NodeState.ON)
@@ -268,22 +300,8 @@ def test_zero_draws_are_drawn_again(stuck):
     assert calls == [[0, 1], [0], [0], [0, 1]]
     assert on_time.tolist() == [0.4, 0.35] + [3.0] * stuck
     assert final_on.tolist() == [False, False] + [True] * stuck
-    scalar = list(_sojourns(OnOffParams(1.0, 1.0), NodeState.ON, 3.0, iter([0.0, 0.0, 0.4, 5.0])))
+    scalar = list(scalar_sojourns(OnOffParams(1.0, 1.0), NodeState.ON, 3.0, iter([0.0, 0.0, 0.4, 5.0])))
     assert [s[2] for s in scalar] == [0.4, 2.6]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.one_of(st.sampled_from([0, 1, 31, 32, 33, 100]), st.integers(min_value=0, max_value=200)),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_exponential_stream_is_the_scalar_draws(n, seed):
-    # Blocks change how often numpy is called, not which values come out or their order.
-    scalar = np.random.default_rng(seed)
-    stream = exponential_stream(np.random.default_rng(seed))
-    drawn = [next(stream) for _ in range(n)]
-    assert drawn == [scalar.standard_exponential() for _ in range(n)]
-    assert all(type(value) is float for value in drawn)  # so repr() prints as before
 
 
 @settings(max_examples=100, deadline=None)

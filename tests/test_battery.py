@@ -223,7 +223,7 @@ def test_active_time_at_equals_segment_walk(data, first, durations):
     for duration in durations:
         segments.append(Segment(state, start, duration))
         start += duration
-        state = state.other
+        state = NodeState.OFF if state is NodeState.ON else NodeState.ON
     traj = Trajectory(start, tuple(segments))
     edges = [seg.start for seg in segments] + [seg.start + seg.duration for seg in segments]
     inside = data.draw(st.lists(st.floats(min_value=0.0, max_value=start), max_size=20))

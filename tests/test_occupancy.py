@@ -16,8 +16,8 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from onoffnet.activity import NodeState, OnOffParams, monte_carlo_on_times
+from onoffnet.cli import main
 from onoffnet.occupancy import (
-    DensityCurve,
     OccupancySpec,
     closed_form_gap,
     density_curve,
@@ -294,14 +294,14 @@ def test_quad_breakpoint_resolves_kink():
 
 
 def test_curve_uniform_values():
-    curve = density_curve(spec_of(1.0, 1.0, 1.0), 5)
-    assert np.all(curve.values == 1.0)
+    _, values = density_curve(spec_of(1.0, 1.0, 1.0), 5)
+    assert np.all(values == 1.0)
 
 
 def test_curve_endpoint_ordering_in_rate_gap():
     t = 10.0
     endpoints = [
-        density_curve(spec_of(0.0, x, t), 101).values[-1] for x in (0.4, 0.6, 0.8, 1.0)
+        density_curve(spec_of(0.0, x, t), 101)[1][-1] for x in (0.4, 0.6, 0.8, 1.0)
     ]
     assert all(a < b for a, b in zip(endpoints, endpoints[1:]))
 
@@ -311,20 +311,16 @@ def test_curve_rejects_single_point():
         density_curve(spec_of(0.0, 1.0, 1.0), 1)
 
 
-def test_curve_csv_lines_are_parseable():
-    curve = density_curve(spec_of(0.5, 1.0, 2.0), 101)
-    lines = curve.csv_lines()
-    assert lines[0].startswith("# lambda=0.5 mu=1.0 horizon=2.0 x=0.5")
-    assert lines[1] == "theta,density"
-    theta, value = lines[2].split(",")
+def test_curve_csv_lines_are_parseable(tmp_path):
+    out = tmp_path / "single.csv"
+    args = ["--lambda", "0.5", "--mu", "1.0", "--horizon", "2.0", "--points", "101", "--out", str(out)]
+    assert main(["density", *args]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "# lambda=0.5 mu=1.0 horizon=2.0 x=0.5"
+    assert lines[2] == "theta,density"
+    theta, value = lines[3].split(",")
     assert float(theta) == 0.0
-    assert float(value) == curve.values[0]
-
-
-def test_curve_rejects_unsorted_grid():
-    spec = spec_of(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        DensityCurve(spec, np.array([0.0, 0.5, 0.5]), np.array([1.0, 1.0, 1.0]))
+    assert float(value) == density_curve(spec_of(0.5, 1.0, 2.0), 101)[1][0]
 
 
 # --- exact occupation law ----------------------------------------------------
