@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, TextIO
 
 # No onoffnet code calls BLAS, yet OpenBLAS starts a worker-thread pool when
 # numpy loads, costing every command start-up time and CPU; one thread means no
@@ -64,9 +65,15 @@ def _resolve_out(path: str) -> Path:
     return p if p.is_absolute() else Path(base) / p
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _open_out(path: Path) -> TextIO:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path.open("w", encoding="utf-8")
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with _open_out(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _spec_for_gap(x: float, horizon: float) -> OccupancySpec:
@@ -243,14 +250,12 @@ def cmd_route(args: argparse.Namespace) -> None:
     try:
         results = []
         for seed in config.seeds:
-            result = run_scenario(config, seed)
-            results.append(result)
+            # Each event line goes to the log as it happens; none is kept.
             log_path = out_dir / f"events_seed{seed}.log"
-            _write_lines(
-                log_path,
-                [_tool_header("route"), f"# seed={seed} config={args.config}", *result.events],
-            )
             created.append(log_path)
+            with _open_out(log_path) as fh:
+                fh.write(f"{_tool_header('route')}\n# seed={seed} config={args.config}\n")
+                results.append(run_scenario(config, seed, lambda line: fh.write(line + "\n")))
         summary = aggregate_metrics(results)
         metrics_path = out_dir / "metrics.csv"
         lines = [
@@ -259,8 +264,8 @@ def cmd_route(args: argparse.Namespace) -> None:
             "metric,value",
         ]
         lines.extend(f"{key},{value!r}" for key, value in summary.items())
-        _write_lines(metrics_path, lines)
         created.append(metrics_path)
+        _write_lines(metrics_path, lines)
     except Exception:
         for path in created:
             path.unlink(missing_ok=True)

@@ -16,7 +16,9 @@ sorted order): beacons cost no energy and reception does not feed back.  So
 each round's residual energies and deaths come from ``_node_paths``, a
 function of (config, seed) that steps all alive nodes together, and the
 round loop does network work only: it logs deaths, sends and receives
-beacons, selects fresh records and answers routes.
+beacons, selects fresh records and answers routes.  Each event line goes to
+a sink as it happens (``run_scenario``'s ``log``, which ``route`` points at the
+open log file), so a run need not hold its log.
 Everything is iterated in sorted node order, so a run is a pure function of
 (config, seed): identical inputs give byte-identical event logs.  A beacon's
 delay and decoded energy depend on its slot alone and are worked out once per
@@ -30,7 +32,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -293,12 +295,17 @@ def _node_paths(
         alive = [i for i in alive if i not in dead]
 
 
-def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioResult:
-    """Run one replication; returns the event log and summary metrics.
+def run_scenario(
+    config: ScenarioConfig, seed: int | None = None, log: Callable[[str], object] | None = None
+) -> ScenarioResult:
+    """Run one replication; returns its summary metrics and, without ``log``, its event log.
 
     Deterministic in (config, seed).  Events are ``time,event_kind,node,details``
     lines; kinds are ``death``, ``hello``, ``collision``, ``table`` and
-    ``route`` (``path=none`` when no admissible route exists).
+    ``route`` (``path=none`` when no admissible route exists).  Each line is
+    handed to ``log`` as it happens, if given, and none is kept: the result's
+    ``events`` is then empty.  Without ``log`` the lines are collected into
+    ``events``.
     """
     if seed is None:
         seed = config.seeds[0]
@@ -312,6 +319,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
     beacon: dict[int, tuple[str, float, str]] = {}  # slot -> (delay repr, energy, energy repr)
 
     events: list[str] = []
+    emit = events.append if log is None else log
 
     hello_sent = 0
     hello_dropped = 0
@@ -325,7 +333,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
         nonlocal graph
         for nid, sod, active_time in dying:
             graph = graph.drop_node(nid)
-            events.append(f"{stamp},death,{nid},sod={sod!r};active_time={active_time!r}")
+            emit(f"{stamp},death,{nid},sod={sod!r};active_time={active_time!r}")
         return sorted(graph.nodes)
 
     alive = bury(repr(0.0), dying)
@@ -349,7 +357,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 beacon[slot] = (repr(delay), energy, repr(energy))
             if slot not in entries:
                 entries[slot] = TableEntry(beacon[slot][1], now)
-            events.append(f"{stamp},hello,{nid},slot={slot};delay={beacon[slot][0]};residual={residual[nid]!r}")
+            emit(f"{stamp},hello,{nid},slot={slot};delay={beacon[slot][0]};residual={residual[nid]!r}")
         hello_sent += len(alive)
 
         # Per-receiver reception; same-slot beacons cancel each other out.
@@ -362,12 +370,12 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
                 group = by_slot[slot]
                 if len(group) > 1:
                     hello_dropped += len(group)
-                    events.append(f"{stamp},collision,{receiver},slot={slot};senders={'|'.join(group)}")
+                    emit(f"{stamp},collision,{receiver},slot={slot};senders={'|'.join(group)}")
                     continue
                 sender = group[0]
                 records[sender] = entries[slot]
                 table_updates += 1
-                events.append(f"{stamp},table,{receiver},neighbor={sender};energy={beacon[slot][2]}")
+                emit(f"{stamp},table,{receiver},neighbor={sender};energy={beacon[slot][2]}")
 
         # Each receiver's fresh records, decided once per round; the table
         # accuracy bookkeeping and every route query read this one view.
@@ -384,10 +392,10 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRes
             if src in graph.nodes and dst in graph.nodes:
                 result = select_route(graph, known, src, dst, config.beta, config.exhaust_threshold)
             if result is None:
-                events.append(f"{stamp},route,{src},dst={dst};path=none")
+                emit(f"{stamp},route,{src},dst={dst};path=none")
             else:
                 delivered_routes += 1
-                events.append(f"{stamp},route,{src},dst={dst};path={'>'.join(result.path)};cost={result.cost!r}")
+                emit(f"{stamp},route,{src},dst={dst};path={'>'.join(result.path)};cost={result.cost!r}")
 
     metrics: dict[str, float] = {
         "rounds": float(n_rounds),

@@ -1,14 +1,18 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface (subprocess level; in-process where a test patches or traces it)."""
 
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+
+from onoffnet import cli
+from test_scenario import network_lock_config
 
 REPO = Path(__file__).resolve().parents[1]
 DIAMOND = REPO / "configs" / "diamond.cfg"
@@ -513,6 +517,65 @@ def test_route_writes_logs_and_metrics(tmp_path):
     assert "mean_table_error," in text
     assert "activation_duration_A,inf" in text
     assert any(",route,A,dst=D;path=A>C>E>D" in line for line in log.read_text().splitlines())
+
+
+def test_route_log_lock(tmp_path):
+    # Pins the exact bytes route writes for two seeds of the 64-node lock
+    # network: both event logs, headers included, and the metrics table.  The
+    # config path is relative, so the headers do not depend on tmp_path.
+    (tmp_path / "lock.cfg").write_text(network_lock_config().replace("seeds = 5\n", "seeds = 5 6\n"))
+    run_cli(["route", "--config", "lock.cfg", "--out-dir", "lock"], tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / "lock" / name).read_bytes()).hexdigest()
+        for name in ("events_seed5.log", "events_seed6.log", "metrics.csv")
+    }
+    assert digests == {
+        "events_seed5.log": "ab897d85dcbcc45ca3c5574eb5e6e4fa6730e636dc7b37c4ed4ccd80ad3b46a2",
+        "events_seed6.log": "a5b7160baa11ab73df7128c1122d6774976310df9e2658c1582ceae1eba51296",
+        "metrics.csv": "b497843875210b1b2243f303a279da005eef5acc5a221b84abcf2b4306464bc1",
+    }
+
+
+def test_route_failure_leaves_no_partial_log(tmp_path, monkeypatch):
+    # The second seed's run fails after logging a few lines: route reports the
+    # error and removes every file it wrote, the half-written log included.
+    path = tmp_path / "two.cfg"
+    path.write_text(DIAMOND.read_text().replace("seeds = 42", "seeds = 42 43"))
+    run_scenario = cli.run_scenario
+    seeds = []
+
+    def failing(config, seed, log=None):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            assert (tmp_path / "r" / "events_seed42.log").stat().st_size > 0
+            for i in range(3):
+                log(f"partial line {i}")
+            raise ValueError("scenario failed mid-run")
+        return run_scenario(config, seed, log)
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    assert cli.main(["route", "--config", str(path), "--out-dir", str(tmp_path / "r")]) == 1
+    assert seeds == [42, 43]
+    assert list((tmp_path / "r").glob("events_seed*.log")) == []
+    assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
+def test_route_memory_does_not_grow_with_seeds(tmp_path):
+    # Event lines are written as they happen, so the traced peak of a 4-seed
+    # route stays near that of one seed instead of holding every seed's log.
+    def peak(seeds, name):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(network_lock_config().replace("seeds = 5\n", f"seeds = {seeds}\n"))
+        tracemalloc.start()
+        try:
+            assert cli.main(["route", "--config", str(config), "--out-dir", str(tmp_path / name)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("5", "warm-up")
+    one, four = peak("5", "one"), peak("5 6 7 8", "four")
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_route_with_period_beyond_horizon(tmp_path):

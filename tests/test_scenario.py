@@ -336,6 +336,21 @@ def test_network_output_lock(tmp_path):
     )
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("network", ["diamond", "lock"])
+def test_log_sink_gets_the_event_lines(tmp_path, network, seed):
+    # A sink sees the lines of the collected log, in order, and none is kept.
+    path = str(DIAMOND) if network == "diamond" else write_config(tmp_path, network_lock_config())
+    config = load_scenario_config(path)
+    lines = []
+    streamed = run_scenario(config, seed, lines.append)
+    collected = run_scenario(config, seed)
+    assert lines == list(collected.events)
+    assert len(lines) > 20
+    assert streamed.events == ()
+    assert streamed.metrics == collected.metrics
+
+
 def test_fresh_records_are_selected_once_per_alive_node_per_round(tmp_path, monkeypatch):
     # Every alive node beacons once per round, so hello_sent counts the alive
     # receivers of all rounds: six in rounds 1-2, five after B dies in round 3.
