@@ -183,6 +183,23 @@ def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
     assert proc.stdout.strip() == "[]"
 
 
+def test_figure_output_lock(tmp_path):
+    # Pins the exact bytes of the README's figure files: both density forms,
+    # the mean curve and the continuous and scripted discharge traces.
+    for argv in README_COMMANDS[:5]:
+        run_cli(argv, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fig_mean.csv", "continuous.csv", "modulated.csv", "segments.csv")
+    }
+    assert digests == {
+        "fig_mean.csv": "3a03e21d1d032156d4a22fe55e01474232c86eefb6df92239d0d5b45b8face14",
+        "continuous.csv": "e7026b9b29ba9c6d4bd3fa50ed54fac859d7a8da41cca6f63cae183cb2723c6d",
+        "modulated.csv": "6dda6fc110e637700904c9d6125a480fe854389898d060e85917362b465b4215",
+        "segments.csv": "f61fa017f08ab34b6830aef7f862bfa8074d71bc4d8ec877d55b60943d6246a5",
+    }
+
+
 # --- density -----------------------------------------------------------------
 
 
