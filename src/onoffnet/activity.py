@@ -9,7 +9,9 @@ window is the random quantity whose law :mod:`onoffnet.occupancy` describes.
 
 Sampling draws from numpy's PCG64 generator.  Every sojourn is a standard
 exponential draw divided by the leaving rate, and a draw that comes out zero
-is drawn again.  ``GENERATOR_ID`` is recorded in output file headers so
+is drawn again.  numpy is imported by the sampling functions when first
+called, not with this module, so code that only builds or reads trajectories
+(a scripted discharge, say) never loads it.  ``GENERATOR_ID`` is recorded in output file headers so
 archived runs name the bit stream they were produced with.
 
 There is one sampling loop, the private step generator ``_lockstep``: it
@@ -26,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: functions that build arrays import numpy (see cli)
+    import numpy as np
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -132,6 +135,8 @@ def buffered_draws(rngs: list[np.random.Generator]) -> Callable[[np.ndarray], np
     exactly the values of repeated scalar ``rngs[p].standard_exponential()``
     calls in their order; only the refills cost a Python step per path.
     """
+    import numpy as np
+
     block = np.empty((len(rngs), _BLOCK))
     used = np.full(len(rngs), _BLOCK)  # values of each row already handed out
 
@@ -167,6 +172,8 @@ def _lockstep(
     at its first sojourn that reaches the horizon, or at once in a state it
     cannot leave (rate 0), without a draw.
     """
+    import numpy as np
+
     _check_horizon(horizon)
     now_on = np.array(on, dtype=bool)
     paths = np.arange(now_on.size)
@@ -208,6 +215,8 @@ def sample_trajectory(
     path's ``total_on_time``.  Deterministic in ``(params, initial, horizon,
     seed)``.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     steps = _lockstep(
         np.array([params.lam]),
@@ -249,6 +258,8 @@ def on_times_lockstep(
     The paths and draws are those of ``_lockstep``; each path's ON sojourns
     are added left to right.  Returns ``(on_time, final_on)``.
     """
+    import numpy as np
+
     on_time = np.zeros(len(on))
     final_on = np.array(on, dtype=bool)
     for paths, now_on, _, length in _lockstep(lam, mu, on, horizon, draw):
@@ -271,6 +282,8 @@ def monte_carlo_on_times(
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
+    import numpy as np
+
     rng = np.random.default_rng(base_seed)
     return on_times_lockstep(
         np.full(n_runs, params.lam),

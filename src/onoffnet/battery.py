@@ -19,8 +19,6 @@ import bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .activity import NodeState, Trajectory, total_on_time
 from .occupancy import OccupancySpec, doubling_edges, mean_on_time, quad
 
@@ -175,6 +173,8 @@ def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> Consumed
     The quadrature is cut on the current's time scale ``tau`` from 0, and at
     the kink where the curve saturates at 1.
     """
+    import numpy as np
+
     breakpoints = [*doubling_edges(model.tau, spec.horizon), predict_lifetime(model, 1.0)]
     sod = np.vectorize(lambda active: sod_continuous(model, active), otypes=[float])
     expected = quad(spec, sod, breakpoints)

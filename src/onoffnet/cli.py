@@ -29,19 +29,21 @@ from typing import Iterable, TextIO
 # pool.  A caller's own value is kept, and library users keep numpy's default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
+# No onoffnet module imports numpy at its top: each function that builds arrays
+# imports it itself.  Importing numpy takes about as long as a whole figure
+# command, which evaluates closed forms on Python floats and so never loads it;
+# sampled discharge, validate and route load it at their first array.
 from . import __version__
 from .activity import GENERATOR_ID, NodeState, OnOffParams, Segment, Trajectory, monte_carlo_on_times, sample_trajectory
 from .battery import SodModel, active_time_at, discharge_current, sod_continuous
 from .occupancy import (
     OccupancySpec,
+    _uniform_grid,
     closed_form_gap,
     density_curve,
     exact_occupation_distribution,
     mean_on_time,
     quad,
-    sorted_distinct,
 )
 from .scenario import ConfigError, aggregate_metrics, load_scenario_config, run_scenario
 
@@ -109,7 +111,7 @@ def cmd_density(args: argparse.Namespace) -> None:
     curves = [density_curve(spec, args.points) for spec in specs]
     lines = [_tool_header("density"), *header]
     for i, theta in enumerate(curves[0][0]):
-        lines.append(f"{float(theta)!r}," + ",".join(f"{float(values[i])!r}" for _, values in curves))
+        lines.append(f"{theta!r}," + ",".join(f"{values[i]!r}" for _, values in curves))
     _write_lines(_resolve_out(args.out), lines)
 
 
@@ -118,14 +120,14 @@ def cmd_mean_curve(args: argparse.Namespace) -> None:
         raise ValueError(f"--points must be >= {_MIN_CURVE_POINTS} for curve output")
     if not args.x_min < args.x_max:
         raise ValueError(f"need --x-min < --x-max, got {args.x_min} >= {args.x_max}")
-    xs = np.linspace(args.x_min, args.x_max, args.points)
+    xs = _uniform_grid(args.x_min, args.x_max, args.points)
     lines = [
         _tool_header("mean-curve"),
         f"# horizon={args.horizon!r} x_min={args.x_min!r} x_max={args.x_max!r} points={args.points}",
         "x,mean_on_time",
     ]
     for x in xs:
-        lines.append(f"{float(x)!r},{mean_on_time(_spec_for_gap(float(x), args.horizon))!r}")
+        lines.append(f"{x!r},{mean_on_time(_spec_for_gap(x, args.horizon))!r}")
     _write_lines(_resolve_out(args.out), lines)
 
 
@@ -172,11 +174,10 @@ def cmd_discharge(args: argparse.Namespace) -> None:
             raise ValueError("--trajectory-out needs a modulated (scripted or sampled) trace")
         horizon = args.horizon
 
-    times = np.linspace(0.0, horizon, args.points)
+    times = _uniform_grid(0.0, horizon, args.points)
     if traj is not None:
         # Include segment boundaries so plateaus land exactly on the grid.
-        bounds = [seg.start for seg in traj.segments] + [horizon]
-        times = sorted_distinct(times, bounds)
+        times = sorted({*times, *(seg.start for seg in traj.segments), horizon})
 
     mode = "continuous" if traj is None else ("scripted" if args.segments else "sampled")
     lines = [
@@ -186,9 +187,9 @@ def cmd_discharge(args: argparse.Namespace) -> None:
         "time,sod,active_time,current",
     ]
     for w in times:
-        active = float(w) if traj is None else active_time_at(traj, float(w))
+        active = w if traj is None else active_time_at(traj, w)
         lines.append(
-            f"{float(w)!r},{sod_continuous(model, active)!r},{active!r},"
+            f"{w!r},{sod_continuous(model, active)!r},{active!r},"
             f"{discharge_current(model, active)!r}"
         )
     _write_lines(_resolve_out(args.out), lines)

@@ -26,6 +26,12 @@ but keeps every exponent non-positive, so nothing overflows however large
 ``x*t`` grows; ``x < 0`` is reduced to the positive case through the mirror
 identity ``f(theta; -x) = f(t-theta; x)``.
 
+The density and the mean take and return Python floats and are evaluated
+with :mod:`math`, so the figure curves (:func:`density_curve`, a list per
+curve) need no numpy and their bytes do not depend on the SIMD kernels numpy
+would pick on a given host.  The cdf, the quadrature and the exact law work
+on numpy arrays and import numpy when first called.
+
 The envelope drops path-multiplicity factors, so it only approximates the
 true occupation-time law.  That law is known in closed form (Pedler 1971,
 J. Appl. Prob. 8(2)): from an ON start, with ``a = lam*s``, ``b = mu*(t-s)``
@@ -48,10 +54,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .activity import NodeState, OnOffParams
+
+if TYPE_CHECKING:  # annotations only: functions that build arrays import numpy (see cli)
+    import numpy as np
 
 # |x|*t below this threshold is treated as the removable singularity at x = 0.
 _LIMIT_EPS = 1e-8
@@ -62,9 +70,6 @@ _SERIES_LIMIT = 1e-2
 
 # exp() overflows just above 709; branch before feeding it such exponents.
 _EXP_OVERFLOW = 700.0
-
-# n-point Gauss-Legendre on [-1, 1]; built on first use, as most commands never integrate.
-_gauss_rule = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 # Poisson terms the exact law may sum per point, and array elements per block of that sum.
 _MAX_TERMS = 10_000
@@ -88,47 +93,47 @@ class OccupancySpec:
         return self.params.mu - self.params.lam
 
 
-def _check_theta(theta: np.ndarray, horizon: float) -> None:
-    if np.any(theta < 0.0) or np.any(theta > horizon):
-        raise ValueError(f"theta must lie in [0, {horizon}]")
+def _uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced floats from ``lo`` to ``hi``: ``np.linspace(lo, hi, n).tolist()``."""
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:  # a subnormal range: linspace scales i/(n-1) by the range instead
+        return [lo + i / (n - 1) * (hi - lo) for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-def _density_positive_gap(x: float, t: float, theta: np.ndarray) -> np.ndarray:
-    # x > 0; exponents are <= 0 (-inf, where x*t overflows), so exp() never overflows.
-    with np.errstate(over="ignore"):
-        return x * np.exp(x * (theta - t)) / -math.expm1(-x * t)
-
-
-def on_time_density(spec: OccupancySpec, theta):
-    """Density of the total ON time at ``theta``; scalar or array argument.
+def on_time_density(spec: OccupancySpec, theta: float) -> float:
+    """Density of the total ON time at the scalar ``theta``, evaluated with ``math``.
 
     Strictly positive on ``[0, t]``; uniform ``1/t`` at the singular point
     ``x = 0``; endpoint value ``x/(1 - exp(-x*t))``, which tends to ``x``
     (from above) as ``t`` grows: total exhaustion becomes the likeliest
     outcome the longer the window.
     """
-    arr = np.asarray(theta, dtype=float)
     t = spec.horizon
-    _check_theta(arr, t)
+    if theta < 0.0 or theta > t:
+        raise ValueError(f"theta must lie in [0, {t}]")
     x = spec.rate_gap
     if abs(x) * t < _LIMIT_EPS:
-        out = np.full_like(arr, 1.0 / t)
-    elif x > 0.0:
-        out = _density_positive_gap(x, t, arr)
-    else:
-        out = _density_positive_gap(-x, t, t - arr)
-    return float(out) if arr.ndim == 0 else out
+        return 1.0 / t
+    if x < 0.0:
+        # Mirror: f(theta; x) = f(t - theta; -x).
+        x, theta = -x, t - theta
+    # Exponents are <= 0 (-inf, where x*t overflows), so exp() never overflows.
+    return x * math.exp(x * (theta - t)) / -math.expm1(-x * t)
 
 
 def on_time_cdf(spec: OccupancySpec, theta):
     """Cumulative on-time law ``(exp(x*theta) - 1)/(exp(x*t) - 1)``.
 
     Strictly increasing from 0 at ``theta = 0`` to 1 at ``theta = t``;
-    ``theta/t`` in the ``x -> 0`` limit.
+    ``theta/t`` in the ``x -> 0`` limit.  Scalar or array argument.
     """
+    import numpy as np
+
     arr = np.asarray(theta, dtype=float)
     t = spec.horizon
-    _check_theta(arr, t)
+    if np.any(arr < 0.0) or np.any(arr > t):
+        raise ValueError(f"theta must lie in [0, {t}]")
     x = spec.rate_gap
     # Exponents that overflow to -inf, where x*t does, give exp() = 0 and expm1() = -1.
     with np.errstate(over="ignore"):
@@ -168,6 +173,8 @@ def mean_on_time(spec: OccupancySpec) -> float:
 
 def doubling_edges(scale: float, length: float) -> np.ndarray:
     """Offsets ``0, s, 3s, 7s, ...`` below ``length``: panels doubling in width from 0."""
+    import numpy as np
+
     # Counted in logs, as length/scale may overflow when |x|*t does.
     count = max(1, math.ceil(math.log2(length) - math.log2(scale)) + 1)
     edges = np.ldexp(scale, np.arange(count)) - scale
@@ -179,8 +186,10 @@ def sorted_distinct(*parts) -> np.ndarray:
 
     The same sort-then-compare-neighbours algorithm, and so the same bytes,
     but without ``np.unique``'s ``np.ma.is_masked`` check, which imports
-    ``numpy.ma`` (about 15 ms) into every command that merges grids.
+    ``numpy.ma`` (about 15 ms) into every command that merges quadrature panels.
     """
+    import numpy as np
+
     values = np.sort(np.concatenate(parts, axis=None))
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
@@ -196,6 +205,8 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     end where the density peaks resolves its spike however large ``|x|*t``
     grows (one panel when ``|x|*t <= 1``); ``breakpoints`` cut them further.
     """
+    import numpy as np
+
     t, x = spec.horizon, spec.rate_gap
     rate = abs(x)
     # Work in the depth below the peak end, so no digits go to t - depth there.
@@ -215,12 +226,16 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     return float(np.sum(half * weights * density * g(theta)))
 
 
-def density_curve(spec: OccupancySpec, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(grid, values)``: the density on a uniform ``n_points`` grid spanning ``[0, t]``."""
+def density_curve(spec: OccupancySpec, n_points: int) -> tuple[list[float], list[float]]:
+    """``(grid, values)``: the density on a uniform ``n_points`` grid spanning ``[0, t]``.
+
+    Both are lists of floats, so no numpy is loaded; the grid has the values of
+    ``np.linspace(0, t, n_points)``, and each value is one :func:`on_time_density`.
+    """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
-    grid = np.linspace(0.0, spec.horizon, n_points)
-    return grid, on_time_density(spec, grid)
+    grid = _uniform_grid(0.0, spec.horizon, n_points)
+    return grid, [on_time_density(spec, theta) for theta in grid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,11 +274,21 @@ class OccupationLaw:
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
         """Exact masses of the bins between increasing ``edges``, each a cell edge."""
+        import numpy as np
+
         edges = np.asarray(edges, dtype=float)
         index = np.minimum(np.searchsorted(self.edges, edges), self.edges.size - 1)
         if not (np.array_equal(self.edges[index], edges) and np.all(np.diff(index) > 0)):
             raise ValueError("bin edges must be increasing cell edges of the law (OccupationLaw.edges)")
         return np.diff(np.concatenate([[0.0], np.cumsum(self.pmf)])[index])
+
+
+@functools.cache
+def _gauss_rule(n: int):
+    """``(nodes, weights)`` of n-point Gauss-Legendre on [-1, 1], built on first use."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _on_start_mean(lam: float, mu: float, t: float) -> float:
@@ -293,6 +318,8 @@ def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np
     when ``mu = 0``, and nothing when ``lam = 0``; these are taken directly,
     so that an ``a`` or ``b`` that overflows cannot turn ``0 * inf`` into NaN.
     """
+    import numpy as np
+
     if lam == 0.0:
         return np.zeros_like(s)
     if mu == 0.0:
@@ -335,6 +362,8 @@ def exact_occupation_distribution(
     checked to 1e-9.  Unlike the closed form, the law depends on the
     initial state.
     """
+    import numpy as np
+
     t = spec.horizon
     if not (0.0 < step <= t / 100.0):
         raise ValueError(f"step must satisfy 0 < step <= horizon/100, got {step!r}")
@@ -375,5 +404,7 @@ def closed_form_gap(law: OccupationLaw) -> float:
     general: the closed form carries no boundary atoms and ignores path
     multiplicity.
     """
+    import numpy as np
+
     closed_masses = np.diff(on_time_cdf(law.spec, law.edges))
     return 0.5 * float(np.abs(law.pmf - closed_masses).sum())

@@ -34,8 +34,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .activity import OnOffParams, buffered_draws, on_times_lockstep
 from .battery import SodModel, predict_lifetime, sod_continuous
 from .routing import (
@@ -272,6 +270,8 @@ def _node_paths(
     the network, so the sequence is a function of ``(config, seed)`` alone;
     it is produced round by round to hold one round in memory.
     """
+    import numpy as np
+
     node_ids = sorted(config.nodes)
     models = [config.nodes[nid].model for nid in node_ids]
     lam = np.array([config.nodes[nid].activity.lam for nid in node_ids])

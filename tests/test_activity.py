@@ -14,6 +14,7 @@ from onoffnet.activity import (
     OnOffParams,
     Segment,
     Trajectory,
+    _lockstep,
     buffered_draws,
     monte_carlo_on_times,
     on_times_lockstep,
@@ -107,27 +108,24 @@ def test_sampled_trajectories_satisfy_invariants(lam, mu):
 
 
 def test_long_run_on_fraction_matches_stationary_law():
-    # Stationary P(ON) = mu/(lam+mu) = 0.75; long horizons plus many seeds
+    # Stationary P(ON) = mu/(lam+mu) = 0.75; long horizons plus many paths
     # pin the empirical mean within three standard errors.
     p = OnOffParams(1.0, 3.0)
     horizon = 1000.0
-    fractions = np.array(
-        [total_on_time(sample_trajectory(p, NodeState.ON, horizon, seed)) / horizon
-         for seed in range(200)]
-    )
+    fractions = monte_carlo_on_times(p, NodeState.ON, horizon, 200, 0) / horizon
     stderr = fractions.std(ddof=1) / math.sqrt(fractions.size)
     assert abs(fractions.mean() - 0.75) < 3.0 * stderr
 
 
 def test_first_on_sojourn_is_exponential():
-    # KS test of the first ON sojourn against Exp(1) over 1e5 seeds; the OFF
-    # rate is tiny so essentially every first sojourn ends uncensored.
-    p = OnOffParams(1.0, 0.01)
+    # KS test of the first ON sojourn (lam = 1) against Exp(1) over 1e5 paths,
+    # the first step of one lockstep batch; a sojourn is censored only past
+    # the horizon 30, with probability e^-30.
     n = 100_000
-    first = np.array(
-        [sample_trajectory(p, NodeState.ON, 30.0, seed).segments[0].duration
-         for seed in range(n)]
-    )
+    rng = np.random.default_rng(0)
+    steps = _lockstep(np.full(n, 1.0), np.full(n, 0.01), np.ones(n, dtype=bool), 30.0,
+                      lambda paths: rng.standard_exponential(paths.size))
+    _, _, _, first = next(steps)
     statistic = stats.kstest(first, "expon", args=(0.0, 1.0)).statistic
     critical = stats.kstwobign.isf(0.01) / math.sqrt(n)
     assert statistic < critical

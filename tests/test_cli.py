@@ -136,8 +136,10 @@ def test_package_import_is_lazy(tmp_path):
 
 
 def test_cli_starts_no_blas_pool(tmp_path):
+    # The CLI loads numpy only where it builds arrays, so the child loads it
+    # itself, after the CLI's own set-up, before counting threads.
     code = (
-        "import os, sys, onoffnet.cli\n"
+        "import os, sys, onoffnet.cli, numpy\n"
         "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n"
     )
@@ -165,12 +167,15 @@ README_COMMANDS = (
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
-    # np.unique and np.union1d import numpy.ma (about 15 ms) on first use.
+    # np.unique and np.union1d import numpy.ma (about 15 ms) on first use.  The
+    # five figure commands evaluate closed forms on floats and load no numpy at
+    # all; sampled discharge, validate and route load it for their arrays.
     code = (
         "import sys\n"
         "from onoffnet.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+        "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -180,19 +185,24 @@ def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
         env=cli_env(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", str(README_COMMANDS.index(argv) >= 5)]
 
 
 def test_figure_output_lock(tmp_path):
     # Pins the exact bytes of the README's figure files: both density forms,
-    # the mean curve and the continuous and scripted discharge traces.
+    # the mean curve and the continuous and scripted discharge traces.  The
+    # density is evaluated with math.exp, so its bytes do not depend on which
+    # SIMD kernel numpy would pick for exp on this host.
     for argv in README_COMMANDS[:5]:
         run_cli(argv, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("fig_mean.csv", "continuous.csv", "modulated.csv", "segments.csv")
+        for name in ("fig_density.csv", "single.csv", "fig_mean.csv", "continuous.csv", "modulated.csv",
+                     "segments.csv")
     }
     assert digests == {
+        "fig_density.csv": "a27d54f0549b1c2935f779460c4e7ca4b63622f31851debf39778827c1d0956f",
+        "single.csv": "2c3a0d483ebe19e029706d5fca4609adee5dfbf815e80549c0cd5882317d5428",
         "fig_mean.csv": "3a03e21d1d032156d4a22fe55e01474232c86eefb6df92239d0d5b45b8face14",
         "continuous.csv": "e7026b9b29ba9c6d4bd3fa50ed54fac859d7a8da41cca6f63cae183cb2723c6d",
         "modulated.csv": "6dda6fc110e637700904c9d6125a480fe854389898d060e85917362b465b4215",

@@ -28,6 +28,7 @@ from onoffnet.occupancy import (
     on_time_cdf,
     on_time_density,
     sorted_distinct,
+    _uniform_grid,
 )
 from onoffnet.occupancy import quad as density_quad
 
@@ -110,7 +111,7 @@ def test_density_rejects_theta_outside_window():
 def test_density_positive_and_normalized(lam, mu, t):
     spec = spec_of(lam, mu, t)
     grid = np.linspace(0.0, t, 101)
-    assert np.all(on_time_density(spec, grid) > 0.0)
+    assert all(on_time_density(spec, th) > 0.0 for th in grid)
     mass, _ = quad(lambda th: on_time_density(spec, th), 0.0, t, epsabs=1e-12, epsrel=1e-12)
     assert mass == pytest.approx(1.0, abs=1e-9)
 
@@ -120,8 +121,8 @@ def test_density_rate_swap_mirrors_curve(lam, mu, t):
     spec = spec_of(lam, mu, t)
     swapped = spec_of(mu, lam, t)
     grid = np.linspace(0.0, t, 57)
-    direct = on_time_density(spec, grid)
-    mirrored = on_time_density(swapped, t - grid)
+    direct = [on_time_density(spec, th) for th in grid]
+    mirrored = [on_time_density(swapped, th) for th in t - grid]
     assert direct == pytest.approx(mirrored, rel=1e-12)
 
 
@@ -278,6 +279,19 @@ def test_sorted_distinct_is_np_unique(parts):
     assert got.tobytes() == expected.tobytes()  # signed zeros included
 
 
+# Finite floats of every magnitude, and ranges so narrow that their step is 0.
+_grid_ends = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-50, 50).map(lambda k: k * 5e-324)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=_grid_ends, hi=_grid_ends, n=st.integers(2, 300))
+def test_uniform_grid_is_linspace(lo, hi, n):
+    with np.errstate(all="ignore"):  # a range wider than the largest float overflows
+        expected = np.linspace(lo, hi, n)
+    got = np.array(_uniform_grid(lo, hi, n))
+    assert got.tobytes() == expected.tobytes()  # signed zeros, and NaN where the range overflows
+
+
 def test_quad_breakpoint_resolves_kink():
     # E[min(T, c)] against scipy on the two sides of the kink; without the
     # breakpoint the smooth rule misses it at the 1e-5 level.
@@ -295,7 +309,7 @@ def test_quad_breakpoint_resolves_kink():
 
 def test_curve_uniform_values():
     _, values = density_curve(spec_of(1.0, 1.0, 1.0), 5)
-    assert np.all(values == 1.0)
+    assert all(value == 1.0 for value in values)
 
 
 def test_curve_endpoint_ordering_in_rate_gap():
