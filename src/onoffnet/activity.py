@@ -136,7 +136,6 @@ def buffered_draws(rngs: list[np.random.Generator]) -> Callable[[np.ndarray], np
     calls in their order; only the refills cost a Python step per path.
     """
     import numpy as np
-
     block = np.empty((len(rngs), _BLOCK))
     used = np.full(len(rngs), _BLOCK)  # values of each row already handed out
 
@@ -173,7 +172,6 @@ def _lockstep(
     cannot leave (rate 0), without a draw.
     """
     import numpy as np
-
     _check_horizon(horizon)
     now_on = np.array(on, dtype=bool)
     paths = np.arange(now_on.size)
@@ -216,7 +214,6 @@ def sample_trajectory(
     seed)``.
     """
     import numpy as np
-
     rng = np.random.default_rng(seed)
     steps = _lockstep(
         np.array([params.lam]),
@@ -259,7 +256,6 @@ def on_times_lockstep(
     are added left to right.  Returns ``(on_time, final_on)``.
     """
     import numpy as np
-
     on_time = np.zeros(len(on))
     final_on = np.array(on, dtype=bool)
     for paths, now_on, _, length in _lockstep(lam, mu, on, horizon, draw):
@@ -283,7 +279,6 @@ def monte_carlo_on_times(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
     import numpy as np
-
     rng = np.random.default_rng(base_seed)
     return on_times_lockstep(
         np.full(n_runs, params.lam),

@@ -174,7 +174,6 @@ def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> Consumed
     the kink where the curve saturates at 1.
     """
     import numpy as np
-
     breakpoints = [*doubling_edges(model.tau, spec.horizon), predict_lifetime(model, 1.0)]
     sod = np.vectorize(lambda active: sod_continuous(model, active), otypes=[float])
     expected = quad(spec, sod, breakpoints)

@@ -71,6 +71,14 @@ _SERIES_LIMIT = 1e-2
 # exp() overflows just above 709; branch before feeding it such exponents.
 _EXP_OVERFLOW = 700.0
 
+
+@functools.cache
+def _gauss_rule(n: int):
+    """n-point Gauss-Legendre on [-1, 1]; built on first use, as most commands never integrate."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(n)
+
+
 # Poisson terms the exact law may sum per point, and array elements per block of that sum.
 _MAX_TERMS = 10_000
 _BLOCK_ELEMENTS = 1 << 14
@@ -129,7 +137,6 @@ def on_time_cdf(spec: OccupancySpec, theta):
     ``theta/t`` in the ``x -> 0`` limit.  Scalar or array argument.
     """
     import numpy as np
-
     arr = np.asarray(theta, dtype=float)
     t = spec.horizon
     if np.any(arr < 0.0) or np.any(arr > t):
@@ -174,7 +181,6 @@ def mean_on_time(spec: OccupancySpec) -> float:
 def doubling_edges(scale: float, length: float) -> np.ndarray:
     """Offsets ``0, s, 3s, 7s, ...`` below ``length``: panels doubling in width from 0."""
     import numpy as np
-
     # Counted in logs, as length/scale may overflow when |x|*t does.
     count = max(1, math.ceil(math.log2(length) - math.log2(scale)) + 1)
     edges = np.ldexp(scale, np.arange(count)) - scale
@@ -189,7 +195,6 @@ def sorted_distinct(*parts) -> np.ndarray:
     ``numpy.ma`` (about 15 ms) into every command that merges quadrature panels.
     """
     import numpy as np
-
     values = np.sort(np.concatenate(parts, axis=None))
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
@@ -206,7 +211,6 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     grows (one panel when ``|x|*t <= 1``); ``breakpoints`` cut them further.
     """
     import numpy as np
-
     t, x = spec.horizon, spec.rate_gap
     rate = abs(x)
     # Work in the depth below the peak end, so no digits go to t - depth there.
@@ -275,20 +279,11 @@ class OccupationLaw:
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
         """Exact masses of the bins between increasing ``edges``, each a cell edge."""
         import numpy as np
-
         edges = np.asarray(edges, dtype=float)
         index = np.minimum(np.searchsorted(self.edges, edges), self.edges.size - 1)
         if not (np.array_equal(self.edges[index], edges) and np.all(np.diff(index) > 0)):
             raise ValueError("bin edges must be increasing cell edges of the law (OccupationLaw.edges)")
         return np.diff(np.concatenate([[0.0], np.cumsum(self.pmf)])[index])
-
-
-@functools.cache
-def _gauss_rule(n: int):
-    """``(nodes, weights)`` of n-point Gauss-Legendre on [-1, 1], built on first use."""
-    import numpy as np
-
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _on_start_mean(lam: float, mu: float, t: float) -> float:
@@ -319,7 +314,6 @@ def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np
     so that an ``a`` or ``b`` that overflows cannot turn ``0 * inf`` into NaN.
     """
     import numpy as np
-
     if lam == 0.0:
         return np.zeros_like(s)
     if mu == 0.0:
@@ -363,7 +357,6 @@ def exact_occupation_distribution(
     initial state.
     """
     import numpy as np
-
     t = spec.horizon
     if not (0.0 < step <= t / 100.0):
         raise ValueError(f"step must satisfy 0 < step <= horizon/100, got {step!r}")
@@ -405,6 +398,5 @@ def closed_form_gap(law: OccupationLaw) -> float:
     multiplicity.
     """
     import numpy as np
-
     closed_masses = np.diff(on_time_cdf(law.spec, law.edges))
     return 0.5 * float(np.abs(law.pmf - closed_masses).sum())

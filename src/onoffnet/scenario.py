@@ -271,7 +271,6 @@ def _node_paths(
     it is produced round by round to hold one round in memory.
     """
     import numpy as np
-
     node_ids = sorted(config.nodes)
     models = [config.nodes[nid].model for nid in node_ids]
     lam = np.array([config.nodes[nid].activity.lam for nid in node_ids])
