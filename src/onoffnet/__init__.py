@@ -14,7 +14,7 @@ _SUBMODULE_NAMES = {
         "monte_carlo_on_times", "sample_trajectory", "total_on_time",
     ),
     "battery": (
-        "BatteryState", "ConsumedFraction", "SodModel", "active_time_at", "advance",
+        "BatteryState", "SodModel", "active_time_at", "advance",
         "discharge_current", "expected_consumed_fraction", "predict_lifetime",
         "sod_continuous", "sod_modulated",
     ),

@@ -95,15 +95,16 @@ class Trajectory:
         if not self.segments:
             raise ValueError("a trajectory needs at least one segment")
         tol = _TILE_TOL * max(1.0, self.horizon)
-        if abs(self.segments[0].start) > tol:
+        # Each check below is one that a NaN start or duration fails.
+        if not abs(self.segments[0].start) <= tol:
             raise ValueError("first segment must start at 0")
         expected_start = 0.0
         on_time = 0.0
         on_time_before = []
         for i, seg in enumerate(self.segments):
-            if seg.duration <= 0.0:
+            if not seg.duration > 0.0:
                 raise ValueError(f"segment {i} has non-positive duration {seg.duration!r}")
-            if abs(seg.start - expected_start) > tol:
+            if not abs(seg.start - expected_start) <= tol:
                 raise ValueError(f"segment {i} does not continue the previous one")
             if i > 0 and seg.state is self.segments[i - 1].state:
                 raise ValueError(f"segments {i - 1} and {i} do not alternate states")
@@ -111,7 +112,7 @@ class Trajectory:
             expected_start = seg.start + seg.duration
             if seg.state is NodeState.ON:
                 on_time += expected_start - seg.start
-        if abs(expected_start - self.horizon) > tol:
+        if not abs(expected_start - self.horizon) <= tol:
             raise ValueError("segments do not tile the horizon")
         object.__setattr__(self, "on_time_before", tuple(on_time_before))
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .activity import NodeState, Trajectory, total_on_time
-from .occupancy import OccupancySpec, doubling_edges, mean_on_time, quad
+from .occupancy import OccupancySpec, doubling_edges, quad
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,10 @@ class BatteryState:
     sod: float
     active_time: float
 
-    @classmethod
-    def fresh(cls, model: SodModel) -> "BatteryState":
-        return cls(model, model.initial_sod, 0.0)
-
-    @property
-    def residual_energy(self) -> float:
-        """Fraction of capacity still available, ``1 - sod``."""
-        return 1.0 - self.sod
-
 
 def discharge_current(model: SodModel, active_time: float) -> float:
     """Instantaneous discharge current after ``active_time`` of ON time."""
-    if active_time < 0.0:
+    if not active_time >= 0.0:
         raise ValueError(f"active_time must be >= 0, got {active_time!r}")
     return model.peak_current * math.exp(-active_time / model.tau)
 
@@ -90,7 +81,7 @@ def sod_continuous(model: SodModel, elapsed: float) -> float:
     Closed form ``min(1, F_init + (K*tau/C_N)*(1 - exp(-elapsed/tau)))``;
     monotone non-decreasing with asymptote ``F_init + K*tau/C_N``.
     """
-    if elapsed < 0.0:
+    if not elapsed >= 0.0:  # NaN fails it too
         raise ValueError(f"elapsed must be >= 0, got {elapsed!r}")
     drained = model.peak_current * model.tau / model.capacity * -math.expm1(-elapsed / model.tau)
     return min(1.0, model.initial_sod + drained)
@@ -108,7 +99,7 @@ def sod_modulated(model: SodModel, traj: Trajectory) -> BatteryState:
 
 def advance(state: BatteryState, on_time: float) -> BatteryState:
     """Consume ``on_time`` further active time on top of an existing state."""
-    if on_time < 0.0:
+    if not on_time >= 0.0:
         raise ValueError(f"on_time must be >= 0, got {on_time!r}")
     active = state.active_time + on_time
     return BatteryState(state.model, sod_continuous(state.model, active), active)
@@ -154,28 +145,16 @@ def predict_lifetime(model: SodModel, exhaustion_threshold: float) -> float:
     return -model.tau * math.log1p(-frac)
 
 
-@dataclass(frozen=True)
-class ConsumedFraction:
-    """Mean consumed state of discharge, with its plug-in companion.
-
-    ``expected`` integrates the discharge curve against the on-time density;
-    ``at_mean_on_time`` evaluates the curve at the mean ON time instead.  The
-    curve is concave in active time, so ``expected <= at_mean_on_time``.
-    """
-
-    expected: float
-    at_mean_on_time: float
-
-
-def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> ConsumedFraction:
+def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> float:
     """Average state of discharge at the end of the window ``[0, horizon]``.
 
-    The quadrature is cut on the current's time scale ``tau`` from 0, and at
-    the kink where the curve saturates at 1.
+    Integrates the discharge curve against the on-time density.  The curve is
+    concave in active time, so the result is at most the curve at the mean ON
+    time, ``sod_continuous(model, mean_on_time(spec))`` (Jensen).  The
+    quadrature is cut on the current's time scale ``tau`` from 0, and at the
+    kink where the curve saturates at 1.
     """
     import numpy as np
     breakpoints = [*doubling_edges(model.tau, spec.horizon), predict_lifetime(model, 1.0)]
     sod = np.vectorize(lambda active: sod_continuous(model, active), otypes=[float])
-    expected = quad(spec, sod, breakpoints)
-    plug_in = sod_continuous(model, mean_on_time(spec))
-    return ConsumedFraction(expected, plug_in)
+    return quad(spec, sod, breakpoints)

@@ -118,7 +118,7 @@ def on_time_density(spec: OccupancySpec, theta: float) -> float:
     outcome the longer the window.
     """
     t = spec.horizon
-    if theta < 0.0 or theta > t:
+    if not 0.0 <= theta <= t:
         raise ValueError(f"theta must lie in [0, {t}]")
     x = spec.rate_gap
     if abs(x) * t < _LIMIT_EPS:
@@ -139,7 +139,7 @@ def on_time_cdf(spec: OccupancySpec, theta):
     import numpy as np
     arr = np.asarray(theta, dtype=float)
     t = spec.horizon
-    if np.any(arr < 0.0) or np.any(arr > t):
+    if not (np.all(arr >= 0.0) and np.all(arr <= t)):
         raise ValueError(f"theta must lie in [0, {t}]")
     x = spec.rate_gap
     # Exponents that overflow to -inf, where x*t does, give exp() = 0 and expm1() = -1.

@@ -25,16 +25,15 @@ from typing import Mapping
 class HelloCodec:
     """Residual-energy <-> HELLO-delay quantiser.
 
-    Residual energy in ``[0, e_full]`` maps onto ``slots`` evenly spaced send
-    delays in ``[d_min, d_max]``, high energy giving a late beacon (direct
-    proportion; flipping the bounds yields the inverse convention, a config
-    change rather than a code change).
+    Residual energy in ``[0, 1]`` (a full battery is 1) maps onto ``slots``
+    evenly spaced send delays in ``[d_min, d_max]``, high energy giving a
+    late beacon (direct proportion; flipping the bounds yields the inverse
+    convention, a config change rather than a code change).
     """
 
     d_min: float
     d_max: float
     slots: int
-    e_full: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d_min) and math.isfinite(self.d_max)):
@@ -43,8 +42,6 @@ class HelloCodec:
             raise ValueError(f"need 0 <= d_min < d_max, got [{self.d_min!r}, {self.d_max!r}]")
         if self.slots < 2:
             raise ValueError(f"slots must be >= 2, got {self.slots!r}")
-        if not 0.0 < self.e_full <= 1.0:
-            raise ValueError(f"e_full must lie in (0, 1], got {self.e_full!r}")
 
     def delay(self, slot: int) -> float:
         """HELLO send delay of a quantisation slot."""
@@ -56,7 +53,7 @@ def encode_slot(codec: HelloCodec, residual: float) -> int:
     """Nearest quantisation slot for a residual energy; saturates at the ends."""
     if not 0.0 <= residual <= 1.0:
         raise ValueError(f"residual must lie in [0, 1], got {residual!r}")
-    slot = int(residual / codec.e_full * (codec.slots - 1) + 0.5)
+    slot = int(residual * (codec.slots - 1) + 0.5)
     return min(slot, codec.slots - 1)
 
 
@@ -71,7 +68,7 @@ def decode_energy(codec: HelloCodec, delay: float) -> float:
         raise ValueError(f"delay must lie in [{codec.d_min}, {codec.d_max}], got {delay!r}")
     slot = int((delay - codec.d_min) / (codec.d_max - codec.d_min) * (codec.slots - 1) + 0.5)
     slot = min(slot, codec.slots - 1)
-    return codec.e_full * slot / (codec.slots - 1)
+    return slot / (codec.slots - 1)
 
 
 def collision_probability(codec: HelloCodec, n_nodes: int) -> float:

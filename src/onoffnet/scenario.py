@@ -50,6 +50,16 @@ _NODE_ID = re.compile(r"^[A-Za-z0-9_]+$")
 
 _NODE_KEYS = ("k", "tau", "capacity", "f_init", "lambda", "mu")
 
+# The keys each section may hold; every key of [nodes] is a node id.  Only
+# [queries] may be left out.
+_SECTION_KEYS = {
+    "scenario": ("horizon", "hello_period", "staleness", "beta", "exhaust_threshold", "seeds", "out_dir"),
+    "codec": ("d_min", "d_max", "slots"),
+    "nodes": None,
+    "links": ("pairs",),
+    "queries": ("routes",),
+}
+
 
 class ConfigError(ValueError):
     """Scenario file rejected; ``errors`` lists one message per offending field."""
@@ -106,8 +116,25 @@ def _parse_node_line(raw: str) -> dict[str, float]:
     return fields
 
 
+def _parse_seeds(raw: str) -> tuple[int, ...]:
+    seeds = tuple(int(tok) for tok in raw.split())
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be unique")
+    return seeds
+
+
 def load_scenario_config(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file; raises ConfigError naming every bad field."""
+    """Parse and validate a scenario file; raises ConfigError naming every bad field.
+
+    ``_SECTION_KEYS`` lists the sections and the keys each may hold; an
+    unknown section or key is refused by name before any field is read.
+    ``seeds`` gives one run per seed: one or more distinct non-negative
+    integers.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # node ids are case-sensitive
     try:
@@ -131,10 +158,14 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             return default
 
     for section in parser.sections():
-        if section not in ("scenario", "codec", "nodes", "links", "queries"):
+        if section not in _SECTION_KEYS:
             errors.append(f"{section}: unknown section")
-    for section in ("scenario", "codec", "nodes", "links"):
-        if not parser.has_section(section):
+        elif _SECTION_KEYS[section] is not None:
+            for key in parser.options(section):
+                if key not in _SECTION_KEYS[section]:
+                    errors.append(f"{section}.{key}: unknown key")
+    for section in _SECTION_KEYS:
+        if section != "queries" and not parser.has_section(section):
             errors.append(f"{section}: missing section")
     if errors:
         raise ConfigError(errors)
@@ -157,36 +188,15 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     if exhaust_threshold is not None and not 0 <= exhaust_threshold < 1:
         errors.append(f"scenario.exhaust_threshold: must lie in [0, 1), got {exhaust_threshold}")
 
-    seeds: tuple[int, ...] = ()
-    if parser.has_option("scenario", "seeds"):
-        try:
-            seeds = tuple(int(tok) for tok in parser.get("scenario", "seeds").split())
-        except ValueError as exc:
-            errors.append(f"scenario.seeds: {exc}")
-        if any(seed < 0 for seed in seeds):
-            errors.append(f"scenario.seeds: seeds must be >= 0, got {min(seeds)}")
-    elif parser.has_option("scenario", "seed"):
-        base = grab("scenario", "seed", int)
-        replications = grab("scenario", "replications", int, default=1, required=False)
-        if base is not None and base < 0:
-            errors.append(f"scenario.seed: must be >= 0, got {base}")
-        if replications is not None and replications < 1:
-            errors.append(f"scenario.replications: must be >= 1, got {replications}")
-        if base is not None and replications is not None:
-            seeds = tuple(base + i for i in range(replications))
-    else:
-        errors.append("scenario.seeds: missing (give 'seeds' or 'seed')")
-    if seeds and len(set(seeds)) != len(seeds):
-        errors.append("scenario.seeds: seeds must be unique")
+    seeds = grab("scenario", "seeds", _parse_seeds)
 
     codec = None
     d_min = grab("codec", "d_min", float)
     d_max = grab("codec", "d_max", float)
     slots = grab("codec", "slots", int)
-    e_full = grab("codec", "e_full", float, default=1.0, required=False)
-    if None not in (d_min, d_max, slots, e_full):
+    if None not in (d_min, d_max, slots):
         try:
-            codec = HelloCodec(d_min, d_max, slots, e_full)
+            codec = HelloCodec(d_min, d_max, slots)
         except ValueError as exc:
             errors.append(f"codec: {exc}")
 

@@ -211,7 +211,7 @@ def test_criterion_8_codec_round_trip_and_collision_enumeration():
     start = time.perf_counter()
     rng = np.random.default_rng(8)
     for codec in (HelloCodec(0.0, 1.0, 11), HelloCodec(0.5, 2.5, 16), HelloCodec(0.0, 1.0, 101)):
-        half_slot = codec.e_full / (2 * (codec.slots - 1))
+        half_slot = 1.0 / (2 * (codec.slots - 1))
         for residual in rng.uniform(0.0, 1.0, 10_000):
             recovered = decode_energy(codec, encode_delay(codec, residual))
             assert abs(recovered - residual) <= half_slot + 1e-15

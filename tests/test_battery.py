@@ -20,7 +20,7 @@ from onoffnet.battery import (
     sod_continuous,
     sod_modulated,
 )
-from onoffnet.occupancy import OccupancySpec, mean_on_time
+from onoffnet.occupancy import OccupancySpec, mean_on_time, on_time_cdf, on_time_density
 
 
 MODEL = SodModel(peak_current=1.0, tau=2.0, capacity=4.0)
@@ -104,6 +104,31 @@ def test_sod_monotone_and_capped():
 def test_sod_rejects_negative_time():
     with pytest.raises(ValueError):
         sod_continuous(MODEL, -0.5)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sod_continuous(MODEL, NAN),
+        lambda: discharge_current(MODEL, NAN),
+        lambda: advance(BatteryState(MODEL, 0.0, 0.0), NAN),
+        lambda: Trajectory(2.0, (Segment(NodeState.ON, 0.0, NAN), Segment(NodeState.OFF, 1.0, 1.0))),
+        lambda: Trajectory(2.0, (Segment(NodeState.ON, 0.0, 1.0), Segment(NodeState.OFF, NAN, 1.0))),
+        lambda: on_time_density(OccupancySpec(OnOffParams(0.5, 1.0), 2.0), NAN),
+        lambda: on_time_cdf(OccupancySpec(OnOffParams(0.5, 1.0), 2.0), NAN),
+        lambda: on_time_cdf(OccupancySpec(OnOffParams(0.5, 1.0), 2.0), [0.5, NAN]),
+    ],
+    ids=["sod_continuous", "discharge_current", "advance", "segment-duration", "segment-start",
+         "on_time_density", "on_time_cdf", "on_time_cdf-array"],
+)
+def test_nan_is_rejected_at_the_boundary(call):
+    # Every range check is written so that NaN fails it; a NaN never turns
+    # into an exhausted battery (sod 1.0) or a nan density.
+    with pytest.raises(ValueError):
+        call()
 
 
 # --- modulated discharge -------------------------------------------------------
@@ -239,13 +264,12 @@ def test_active_time_at_equals_segment_walk_on_a_long_sampled_trace():
 
 
 def test_advance_accumulates_functionally():
-    state = BatteryState.fresh(MODEL)
+    state = BatteryState(MODEL, MODEL.initial_sod, 0.0)
     later = advance(state, 1.0)
     final = advance(later, 1.0)
     assert state.active_time == 0.0  # untouched
     assert final.active_time == 2.0
     assert final.sod == sod_continuous(MODEL, 2.0)
-    assert final.residual_energy == 1.0 - final.sod
 
 
 # --- lifetime prediction ---------------------------------------------------------
@@ -300,16 +324,13 @@ def test_expected_consumption_uniform_law():
     result = expected_consumed_fraction(MODEL, spec)
     average, _ = quad(lambda th: sod_continuous(MODEL, th) / 4.0, 0.0, 4.0,
                       epsabs=1e-12, epsrel=1e-12)
-    assert result.expected == pytest.approx(average, abs=1e-9)
+    assert result == pytest.approx(average, abs=1e-9)
 
 
 def test_expected_consumption_frozen_value():
     spec = OccupancySpec(OnOffParams(0.0, 1.0), 1.0)
     result = expected_consumed_fraction(MODEL, spec)
-    assert result.expected == pytest.approx(0.12245933120185456, rel=1e-9)
-    assert result.at_mean_on_time == pytest.approx(
-        sod_continuous(MODEL, mean_on_time(spec)), rel=1e-15
-    )
+    assert result == pytest.approx(0.12245933120185456, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam,mu,t", [(0.0, 1.0, 1.0), (1.0, 1.0, 4.0), (0.5, 2.0, 10.0), (3.0, 0.1, 0.5)])
@@ -317,7 +338,7 @@ def test_expected_consumption_obeys_jensen(lam, mu, t):
     # sod_continuous is concave in active time, so E[f(T)] <= f(E[T]).
     spec = OccupancySpec(OnOffParams(lam, mu), t)
     result = expected_consumed_fraction(MODEL, spec)
-    assert result.expected <= result.at_mean_on_time + 1e-12
+    assert result <= sod_continuous(MODEL, mean_on_time(spec)) + 1e-12
 
 
 def test_expected_consumption_resolves_spike_of_huge_rate_gap():
@@ -335,5 +356,5 @@ def test_expected_consumption_resolves_spike_of_huge_rate_gap():
     split = t - 50.0 / x
     below, _ = quad(integrand, 0.0, split, epsabs=1e-14, epsrel=1e-13, limit=200)
     spike, _ = quad(integrand, split, t, epsabs=1e-14, epsrel=1e-13, limit=200)
-    assert result.expected == pytest.approx(below + spike, rel=1e-9)
-    assert result.expected == pytest.approx(sod_continuous(MODEL, t), rel=1e-4)
+    assert result == pytest.approx(below + spike, rel=1e-9)
+    assert result == pytest.approx(sod_continuous(MODEL, t), rel=1e-4)

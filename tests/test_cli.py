@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from onoffnet import cli
+from onoffnet.scenario import load_scenario_config
 from test_scenario import network_lock_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -132,7 +133,7 @@ def test_package_import_is_lazy(tmp_path):
         "except AttributeError:\n"
         "    print('AttributeError')\n"
     )
-    assert run_python(code, tmp_path).splitlines() == ["False", "44 44", "AttributeError"]
+    assert run_python(code, tmp_path).splitlines() == ["False", "43 43", "AttributeError"]
 
 
 def test_cli_starts_no_blas_pool(tmp_path):
@@ -527,6 +528,30 @@ def test_route_rejects_negative_config_seed(tmp_path):
     assert proc.returncode == 1
     assert "scenario.seeds" in proc.stderr
     assert not (tmp_path / "r").exists()
+
+
+def test_route_refuses_unknown_keys_before_writing(tmp_path):
+    text = DIAMOND.read_text()
+    text = text.replace("seeds = 42", "seeds = 42\nexhaust_treshold = 0.5\nhorizn = 1\nseed = 7\nreplications = 5")
+    config = tmp_path / "typo.cfg"
+    config.write_text(text.replace("slots = 21", "slots = 21\ne_ful = 0.5\nsltos = 3"))
+    proc = run_cli(["route", "--config", str(config), "--out-dir", "r"], tmp_path, check=False)
+    assert proc.returncode == 1
+    for key in ("scenario.exhaust_treshold", "scenario.horizn", "scenario.seed", "scenario.replications",
+                "codec.e_ful", "codec.sltos"):
+        assert f"{key}: unknown key" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.cfg"]
+
+
+def test_readme_config_example_loads(tmp_path):
+    # The README's INI block is a complete scenario file: the same five-node
+    # diamond as configs/diamond.cfg.
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.cfg"
+    config.write_text(block)
+    loaded = load_scenario_config(str(config))
+    assert loaded == load_scenario_config(str(DIAMOND))
 
 
 # --- route ------------------------------------------------------------------------

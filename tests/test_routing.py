@@ -77,8 +77,6 @@ def test_codec_validation():
         HelloCodec(1.0, 1.0, 8)
     with pytest.raises(ValueError):
         HelloCodec(0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        HelloCodec(0.0, 1.0, 8, e_full=0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="d_max"):
             HelloCodec(0.0, bad, 8)
@@ -138,7 +136,7 @@ def test_decode_rejects_out_of_range():
 
 def test_round_trip_error_within_half_slot():
     rng = np.random.default_rng(17)
-    half_slot = CODEC.e_full / (2 * (CODEC.slots - 1))
+    half_slot = 1.0 / (2 * (CODEC.slots - 1))
     for residual in rng.uniform(0.0, 1.0, 10_000):
         recovered = decode_energy(CODEC, encode_delay(CODEC, residual))
         assert abs(recovered - residual) <= half_slot + 1e-15

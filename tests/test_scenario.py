@@ -119,8 +119,8 @@ def test_config_rejects_non_finite_codec_bound(tmp_path):
 
 @pytest.mark.parametrize(
     "line,field",
-    [("seeds = 3 -1", "scenario.seeds:"), ("seed = -1", "scenario.seed:"), ("seed = -2\nreplications = 3", "scenario.seed:")],
-    ids=["seeds", "seed", "seed-replications"],
+    [("seeds = 3 -1", "scenario.seeds:")],
+    ids=["seeds"],
 )
 def test_config_rejects_negative_seed(tmp_path, line, field):
     path = write_config(tmp_path, PAIR_TEMPLATE.replace("seeds = 3", line))
@@ -129,18 +129,31 @@ def test_config_rejects_negative_seed(tmp_path, line, field):
     assert [e for e in excinfo.value.errors if e.startswith(field) and ">= 0" in e]
 
 
+def test_config_rejects_empty_seeds(tmp_path):
+    path = write_config(tmp_path, PAIR_TEMPLATE.replace("seeds = 3", "seeds ="))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(path)
+    assert excinfo.value.errors == ["scenario.seeds: at least one seed is required"]
+
+
 def test_config_rejects_unknown_section(tmp_path):
     path = write_config(tmp_path, PAIR_TEMPLATE + "\n[extras]\nfoo = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
         load_scenario_config(path)
 
 
-def test_config_seed_plus_replications(tmp_path):
-    path = write_config(
-        tmp_path, PAIR_TEMPLATE.replace("seeds = 3", "seed = 10\nreplications = 3")
-    )
-    cfg = load_scenario_config(path)
-    assert cfg.seeds == (10, 11, 12)
+def test_config_rejects_unknown_keys(tmp_path):
+    # Keys outside the format (here a second seed spelling and a codec full
+    # scale) refuse the file, each by name, rather than being ignored.
+    text = PAIR_TEMPLATE.replace("seeds = 3", "seeds = 3\nseed = 10\nreplications = 3")
+    path = write_config(tmp_path, text.replace("slots = 21", "slots = 21\ne_full = 0.5"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(path)
+    assert excinfo.value.errors == [
+        "scenario.seed: unknown key",
+        "scenario.replications: unknown key",
+        "codec.e_full: unknown key",
+    ]
 
 
 # --- event loop ----------------------------------------------------------------
@@ -160,7 +173,7 @@ def test_decoded_energy_tracks_true_residual(tmp_path):
     cfg = load_scenario_config(write_config(tmp_path, PAIR_TEMPLATE))
     result = run_scenario(cfg)
     model_b = cfg.nodes["B"].model
-    half_slot = cfg.codec.e_full / (2 * (cfg.codec.slots - 1))
+    half_slot = 1.0 / (2 * (cfg.codec.slots - 1))
     table_events = [e for e in result.events if ",table,A," in e]
     assert len(table_events) == 5  # one per round
     for line in table_events:
