@@ -26,9 +26,8 @@ scenario from one generator per node, through ``buffered_draws``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 if TYPE_CHECKING:  # annotations only: functions that build arrays import numpy (see cli)
     import numpy as np
@@ -50,31 +49,38 @@ class NodeState(Enum):
     OFF = "OFF"
 
 
-@dataclass(frozen=True)
-class OnOffParams:
+class _OnOffFields(NamedTuple):
+    lam: float
+    mu: float
+
+
+class OnOffParams(_OnOffFields):
     """Transition rates of the activity chain.
 
     ``lam`` is the intensity of leaving ON, ``mu`` the intensity of leaving
     OFF.
     """
 
-    lam: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("lam", self.lam), ("mu", self.mu)):
+    def __new__(cls, lam: float, mu: float) -> OnOffParams:
+        for name, value in (("lam", lam), ("mu", mu)):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        return super().__new__(cls, lam, mu)
+
+    @classmethod
+    def _make(cls, fields) -> OnOffParams:
+        # namedtuple's own _make, which _replace calls, skips __new__ and so the checks.
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     state: NodeState
     start: float
     duration: float
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Alternating ON/OFF segments tiling ``[0, horizon]`` exactly.
 
@@ -82,39 +88,48 @@ class Trajectory:
     duration equal to the horizon within ``1e-12`` relative), strict state
     alternation and strictly positive durations.  ``on_time_before[i]`` is
     the ON time accrued before segment ``i``: each ON segment adds
-    ``(start + duration) - start``, left to right.
+    ``(start + duration) - start``, left to right.  Trajectories compare by
+    horizon and segments.
     """
 
-    horizon: float
-    segments: tuple[Segment, ...]
-    on_time_before: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("horizon", "segments", "on_time_before")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
-        if not self.segments:
+    def __init__(self, horizon: float, segments: tuple[Segment, ...]) -> None:
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+        if not segments:
             raise ValueError("a trajectory needs at least one segment")
-        tol = _TILE_TOL * max(1.0, self.horizon)
+        tol = _TILE_TOL * max(1.0, horizon)
         # Each check below is one that a NaN start or duration fails.
-        if not abs(self.segments[0].start) <= tol:
+        if not abs(segments[0].start) <= tol:
             raise ValueError("first segment must start at 0")
         expected_start = 0.0
         on_time = 0.0
         on_time_before = []
-        for i, seg in enumerate(self.segments):
+        for i, seg in enumerate(segments):
             if not seg.duration > 0.0:
                 raise ValueError(f"segment {i} has non-positive duration {seg.duration!r}")
             if not abs(seg.start - expected_start) <= tol:
                 raise ValueError(f"segment {i} does not continue the previous one")
-            if i > 0 and seg.state is self.segments[i - 1].state:
+            if i > 0 and seg.state is segments[i - 1].state:
                 raise ValueError(f"segments {i - 1} and {i} do not alternate states")
             on_time_before.append(on_time)
             expected_start = seg.start + seg.duration
             if seg.state is NodeState.ON:
                 on_time += expected_start - seg.start
-        if not abs(expected_start - self.horizon) <= tol:
+        if not abs(expected_start - horizon) <= tol:
             raise ValueError("segments do not tile the horizon")
-        object.__setattr__(self, "on_time_before", tuple(on_time_before))
+        self.horizon = horizon
+        self.segments = segments
+        self.on_time_before = tuple(on_time_before)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.horizon, self.segments) == (other.horizon, other.segments)
+
+    def __hash__(self) -> int:
+        return hash((self.horizon, self.segments))
 
     def csv_rows(self) -> list[str]:
         """Rows ``segment_index,state,start,duration`` (no header)."""

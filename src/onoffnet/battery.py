@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .activity import NodeState, Trajectory, total_on_time
 from .occupancy import OccupancySpec, doubling_edges, quad
 
 
-@dataclass(frozen=True)
-class SodModel:
+class _SodFields(NamedTuple):
+    peak_current: float
+    tau: float
+    capacity: float
+    initial_sod: float = 0.0
+
+
+class SodModel(_SodFields):
     """Discharge-current parameters: ``I_sod(a) = peak_current * exp(-a/tau)``.
 
     ``a`` is cumulative active (ON) time.  ``capacity`` is the nominal charge
@@ -32,21 +38,23 @@ class SodModel:
     starting state of discharge.
     """
 
-    peak_current: float
-    tau: float
-    capacity: float
-    initial_sod: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, peak_current: float, tau: float, capacity: float, initial_sod: float = 0.0) -> SodModel:
         for name, value in (
-            ("peak_current", self.peak_current),
-            ("tau", self.tau),
-            ("capacity", self.capacity),
+            ("peak_current", peak_current),
+            ("tau", tau),
+            ("capacity", capacity),
         ):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not 0.0 <= self.initial_sod < 1.0:
-            raise ValueError(f"initial_sod must lie in [0, 1), got {self.initial_sod!r}")
+        if not 0.0 <= initial_sod < 1.0:
+            raise ValueError(f"initial_sod must lie in [0, 1), got {initial_sod!r}")
+        return super().__new__(cls, peak_current, tau, capacity, initial_sod)
+
+    @classmethod
+    def _make(cls, fields) -> SodModel:
+        return cls(*fields)  # so that _replace validates
 
     @property
     def asymptotic_sod(self) -> float:
@@ -54,8 +62,7 @@ class SodModel:
         return min(1.0, self.initial_sod + self.peak_current * self.tau / self.capacity)
 
 
-@dataclass(frozen=True)
-class BatteryState:
+class BatteryState(NamedTuple):
     """Snapshot of a battery: current state of discharge and active time spent.
 
     Values are evolved functionally; operations hand back new states, never

@@ -32,7 +32,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # No onoffnet module imports numpy at its top: each function that builds arrays
 # imports it itself.  Importing numpy takes about as long as a whole figure
 # command, which evaluates closed forms on Python floats and so never loads it;
-# sampled discharge, validate and route load it at their first array.
+# sampled discharge, validate and route load it at their first array.  For the
+# same reason no module imports dataclasses (with inspect, about 9 ms), and
+# configparser and fractions are imported by the one function that uses each.
 from . import __version__
 from .activity import GENERATOR_ID, NodeState, OnOffParams, Segment, Trajectory, monte_carlo_on_times, sample_trajectory
 from .battery import SodModel, active_time_at, discharge_current, sod_continuous

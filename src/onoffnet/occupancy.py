@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .activity import NodeState, OnOffParams
 
@@ -84,16 +83,24 @@ _MAX_TERMS = 10_000
 _BLOCK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class OccupancySpec:
-    """Activity rates plus the observation window ``[0, horizon]``."""
-
+class _SpecFields(NamedTuple):
     params: OnOffParams
     horizon: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
+
+class OccupancySpec(_SpecFields):
+    """Activity rates plus the observation window ``[0, horizon]``."""
+
+    __slots__ = ()
+
+    def __new__(cls, params: OnOffParams, horizon: float) -> OccupancySpec:
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+        return super().__new__(cls, params, horizon)
+
+    @classmethod
+    def _make(cls, fields) -> OccupancySpec:
+        return cls(*fields)  # so that _replace validates
 
     @property
     def rate_gap(self) -> float:
@@ -242,7 +249,6 @@ def density_curve(spec: OccupancySpec, n_points: int) -> tuple[list[float], list
     return grid, [on_time_density(spec, theta) for theta in grid]
 
 
-@dataclass(frozen=True, eq=False)
 class OccupationLaw:
     """Exact law of the total ON time, as masses of cells of width ``step``.
 
@@ -251,15 +257,27 @@ class OccupationLaw:
     ``edges = [0, step/2, 3*step/2, ..., t - step/2, t]``.  The end cells
     carry the never-switching atoms ``atom_zero`` (all OFF) and ``atom_full``
     (all ON), which exist in the true law but not in the continuous closed
-    form.  ``mean`` and the atoms are exact, not read off the cells.
+    form.  ``mean`` and the atoms are exact, not read off the cells.  Laws
+    compare by identity.
     """
 
-    spec: OccupancySpec
-    step: float
-    initial: NodeState
-    on_times: np.ndarray
-    edges: np.ndarray
-    pmf: np.ndarray
+    __slots__ = ("spec", "step", "initial", "on_times", "edges", "pmf")
+
+    def __init__(
+        self,
+        spec: OccupancySpec,
+        step: float,
+        initial: NodeState,
+        on_times: np.ndarray,
+        edges: np.ndarray,
+        pmf: np.ndarray,
+    ) -> None:
+        self.spec = spec
+        self.step = step
+        self.initial = initial
+        self.on_times = on_times
+        self.edges = edges
+        self.pmf = pmf
 
     @property
     def mean(self) -> float:

@@ -16,32 +16,44 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
-from typing import Mapping
+import operator
+from typing import Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class HelloCodec:
+class _CodecFields(NamedTuple):
+    d_min: float
+    d_max: float
+    slots: int
+
+
+class HelloCodec(_CodecFields):
     """Residual-energy <-> HELLO-delay quantiser.
 
     Residual energy in ``[0, 1]`` (a full battery is 1) maps onto ``slots``
     evenly spaced send delays in ``[d_min, d_max]``, high energy giving a
     late beacon (direct proportion; flipping the bounds yields the inverse
-    convention, a config change rather than a code change).
+    convention, a config change rather than a code change).  ``slots`` is an
+    integer (numpy integers are taken as ``int``).
     """
 
-    d_min: float
-    d_max: float
-    slots: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_min) and math.isfinite(self.d_max)):
-            raise ValueError(f"d_min and d_max must be finite, got [{self.d_min!r}, {self.d_max!r}]")
-        if not 0.0 <= self.d_min < self.d_max:
-            raise ValueError(f"need 0 <= d_min < d_max, got [{self.d_min!r}, {self.d_max!r}]")
-        if self.slots < 2:
-            raise ValueError(f"slots must be >= 2, got {self.slots!r}")
+    def __new__(cls, d_min: float, d_max: float, slots: int) -> HelloCodec:
+        if not (math.isfinite(d_min) and math.isfinite(d_max)):
+            raise ValueError(f"d_min and d_max must be finite, got [{d_min!r}, {d_max!r}]")
+        if not 0.0 <= d_min < d_max:
+            raise ValueError(f"need 0 <= d_min < d_max, got [{d_min!r}, {d_max!r}]")
+        try:
+            count = operator.index(slots)
+        except TypeError:
+            raise ValueError(f"slots must be an integer, got {slots!r}") from None
+        if count < 2:
+            raise ValueError(f"slots must be >= 2, got {slots!r}")
+        return super().__new__(cls, d_min, d_max, count)
+
+    @classmethod
+    def _make(cls, fields) -> HelloCodec:
+        return cls(*fields)  # so that _replace validates
 
     def delay(self, slot: int) -> float:
         """HELLO send delay of a quantisation slot."""
@@ -83,20 +95,22 @@ def collision_probability(codec: HelloCodec, n_nodes: int) -> float:
     L = codec.slots
     if n_nodes > L:
         return 1.0
+    from fractions import Fraction  # imported here: nothing else needs it, and it loads decimal
     return float(1 - Fraction(math.perm(L, n_nodes), L**n_nodes))
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     energy: float
     timestamp: float
 
 
-@dataclass(frozen=True)
 class EnergyTable:
     """Per-neighbour residual-energy records, newest record per neighbour (the scenario writes in place)."""
 
-    records: dict[str, TableEntry] = field(default_factory=dict)
+    __slots__ = ("records",)
+
+    def __init__(self, records: dict[str, TableEntry] | None = None) -> None:
+        self.records = {} if records is None else records
 
     def fresh(self, now: float, staleness: float) -> dict[str, float]:
         """Neighbour -> energy for records no older than the staleness horizon."""
@@ -120,30 +134,28 @@ def update_energy_table(
     return EnergyTable(records)
 
 
-@dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Alive nodes and the undirected links between them.
 
     The links are validated and kept only as the sorted neighbour list of
-    every node, built once, at construction.
+    every node, built once, at construction.  Graphs compare by identity.
     """
 
-    nodes: frozenset[str]
-    links: InitVar[frozenset[frozenset[str]]]
-    _adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    __slots__ = ("nodes", "_adjacency")
 
-    def __post_init__(self, links: frozenset[frozenset[str]]) -> None:
-        adjacency: dict[str, list[str]] = {nid: [] for nid in self.nodes}
+    def __init__(self, nodes: frozenset[str], links: frozenset[frozenset[str]]) -> None:
+        adjacency: dict[str, list[str]] = {nid: [] for nid in nodes}
         for link in links:
             if len(link) != 2:
                 raise ValueError(f"link must join two distinct nodes, got {set(link)!r}")
-            missing = link - self.nodes
+            missing = link - nodes
             if missing:
                 raise ValueError(f"link references unknown node(s) {sorted(missing)!r}")
             a, b = link
             adjacency[a].append(b)
             adjacency[b].append(a)
-        object.__setattr__(self, "_adjacency", {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()})
+        self.nodes = nodes
+        self._adjacency = {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()}
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         """Adjacent node ids in sorted order (the stored tuple, not a copy)."""
@@ -162,14 +174,13 @@ class NetworkGraph:
         dropped = adjacency.pop(node_id)
         for nbr in dropped:
             adjacency[nbr] = tuple(n for n in adjacency[nbr] if n != node_id)
-        graph = object.__new__(NetworkGraph)
-        object.__setattr__(graph, "nodes", self.nodes - {node_id})
-        object.__setattr__(graph, "_adjacency", adjacency)
+        graph = NetworkGraph.__new__(NetworkGraph)  # the links are already validated
+        graph.nodes = self.nodes - {node_id}
+        graph._adjacency = adjacency
         return graph
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     path: tuple[str, ...]
     cost: float
 

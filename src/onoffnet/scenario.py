@@ -28,11 +28,9 @@ receiver that hears a beacon in that slot alone.
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .activity import OnOffParams, buffered_draws, on_times_lockstep
 from .battery import SodModel, predict_lifetime, sod_continuous
@@ -69,14 +67,12 @@ class ConfigError(ValueError):
         super().__init__("; ".join(errors))
 
 
-@dataclass(frozen=True)
-class NodeSetup:
+class NodeSetup(NamedTuple):
     model: SodModel
     activity: OnOffParams
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Full experiment description; see ``load_scenario_config`` for the file format."""
 
     nodes: dict[str, NodeSetup]
@@ -92,8 +88,7 @@ class ScenarioConfig:
     out_dir: str | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     seed: int
     events: tuple[str, ...]
     metrics: dict[str, float]
@@ -135,6 +130,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     ``seeds`` gives one run per seed: one or more distinct non-negative
     integers.
     """
+    import configparser  # here, not at the top: no other command reads a config
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # node ids are case-sensitive
     try:

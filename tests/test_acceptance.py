@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; every tolerance and runtime budget is asserted, not just reported.
 """
 
-import dataclasses
 import itertools
 import math
 import time
@@ -197,8 +196,8 @@ def test_criterion_7_routing_oracle_and_diamond_flip():
     # cross at beta* = 10/7.
     cfg = load_scenario_config(str(DIAMOND))
     beta_star = 10.0 / 7.0
-    below = run_scenario(dataclasses.replace(cfg, beta=beta_star - 0.05), 42)
-    above = run_scenario(dataclasses.replace(cfg, beta=beta_star + 0.05), 42)
+    below = run_scenario(cfg._replace(beta=beta_star - 0.05), 42)
+    above = run_scenario(cfg._replace(beta=beta_star + 0.05), 42)
     assert "path=A>B>D" in [e for e in below.events if ",route,A," in e][0]
     assert "path=A>C>E>D" in [e for e in above.events if ",route,A," in e][0]
     elapsed = time.perf_counter() - start

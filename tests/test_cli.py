@@ -166,17 +166,27 @@ README_COMMANDS = (
 )
 
 
+# Standard-library modules that add start-up time: the package never imports
+# dataclasses (which loads inspect), and imports configparser and fractions
+# (which loads decimal) only in the functions that use them.
+STARTUP_MODULES = ("dataclasses", "inspect", "configparser", "fractions", "decimal")
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
     # np.unique and np.union1d import numpy.ma (about 15 ms) on first use.  The
     # five figure commands evaluate closed forms on floats and load no numpy at
-    # all; sampled discharge, validate and route load it for their arrays.
+    # all; sampled discharge, validate and route load it for their arrays, and
+    # numpy loads inspect.  Only route reads a config, so only route loads
+    # configparser.  Modules loaded before the import (by site) do not count.
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from onoffnet.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
         "print('numpy' in sys.modules)\n"
+        f"print(sorted(m for m in {STARTUP_MODULES!r} if m in sys.modules and m not in before))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -186,7 +196,9 @@ def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
         env=cli_env(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", str(README_COMMANDS.index(argv) >= 5)]
+    index = README_COMMANDS.index(argv)
+    loaded = [] if index < 5 else ["inspect"] if index < 7 else ["configparser", "inspect"]
+    assert proc.stdout.splitlines() == ["[]", str(index >= 5), str(loaded)]
 
 
 def test_figure_output_lock(tmp_path):

@@ -1,4 +1,5 @@
-"""Tests for the HELLO codec, energy tables and energy-aware route selection.
+"""Tests for the HELLO codec, energy tables and energy-aware route selection,
+and for the record contract of the package's value types.
 
 Route selection is checked against an independent brute-force enumeration of
 all simple paths that prices edges with the same rule (relay cost
@@ -15,10 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onoffnet.activity import NodeState, OnOffParams, Segment
+from onoffnet.battery import BatteryState, SodModel
+from onoffnet.occupancy import OccupancySpec, exact_occupation_distribution
 from onoffnet.routing import (
     EnergyTable,
     HelloCodec,
     NetworkGraph,
+    RouteResult,
     TableEntry,
     collision_probability,
     decode_energy,
@@ -27,6 +32,7 @@ from onoffnet.routing import (
     select_route,
     update_energy_table,
 )
+from onoffnet.scenario import NodeSetup, ScenarioConfig, ScenarioResult
 
 CODEC = HelloCodec(d_min=0.0, d_max=1.0, slots=11)
 
@@ -80,6 +86,10 @@ def test_codec_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="d_max"):
             HelloCodec(0.0, bad, 8)
+    for bad in (2.5, 2.0):  # a fractional slot count gives fractional slots
+        with pytest.raises(ValueError, match="slots must be an integer"):
+            HelloCodec(0.0, 1.0, bad)
+    assert type(HelloCodec(0.0, 1.0, np.int64(3)).slots) is int
 
 
 def test_encode_endpoints():
@@ -420,3 +430,73 @@ def test_raising_beta_never_increases_relay_deficiency():
             min((energies[nid] for nid in r.path[1:-1]), default=1.0) for r in found
         ]
         assert all(b >= a - 1e-12 for a, b in zip(minima, minima[1:]))
+
+
+# --- value types ------------------------------------------------------------------
+
+_PARAMS = OnOffParams(lam=0.5, mu=1.0)
+_MODEL = SodModel(peak_current=1.0, tau=2.0, capacity=4.0)
+_CODEC_FIELDS = {"d_min": 0.0, "d_max": 1.0, "slots": 11}
+
+# (type, fields by name, an invalid (field, value) for the validated types)
+VALUE_TYPES = (
+    (OnOffParams, {"lam": 0.5, "mu": 1.0}, ("lam", -0.1)),
+    (SodModel, {"peak_current": 1.0, "tau": 2.0, "capacity": 4.0, "initial_sod": 0.25}, ("initial_sod", 1.0)),
+    (OccupancySpec, {"params": _PARAMS, "horizon": 2.0}, ("horizon", math.inf)),
+    (HelloCodec, _CODEC_FIELDS, ("slots", 2.5)),
+    (Segment, {"state": NodeState.ON, "start": 0.0, "duration": 1.5}, None),
+    (TableEntry, {"energy": 0.7, "timestamp": 1.0}, None),
+    (RouteResult, {"path": ("A", "B"), "cost": 1.0}, None),
+    (BatteryState, {"model": _MODEL, "sod": 0.5, "active_time": 1.0}, None),
+    (NodeSetup, {"model": _MODEL, "activity": _PARAMS}, None),
+    (ScenarioResult, {"seed": 3, "events": ("0.0,death,A,sod=1.0",), "metrics": {"rounds": 1.0}}, None),
+    (
+        ScenarioConfig,
+        {
+            "nodes": {"A": NodeSetup(_MODEL, _PARAMS), "B": NodeSetup(_MODEL, _PARAMS)},
+            "links": frozenset({frozenset({"A", "B"})}),
+            "codec": HelloCodec(**_CODEC_FIELDS),
+            "hello_period": 10.0,
+            "staleness": 30.0,
+            "beta": 1.0,
+            "exhaust_threshold": 0.05,
+            "horizon": 40.0,
+            "seeds": (1,),
+            "queries": (("A", "B"),),
+            "out_dir": None,
+        },
+        None,
+    ),
+)
+
+
+@pytest.mark.parametrize("cls,fields,invalid", VALUE_TYPES, ids=[case[0].__name__ for case in VALUE_TYPES])
+def test_value_types_are_frozen_records(cls, fields, invalid):
+    a, b = cls(**fields), cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert a == b
+    try:
+        hash(tuple(fields.values()))
+    except TypeError:  # a dict field: the record is unhashable too
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{name}={value!r}' for name, value in fields.items())})"
+    if invalid is not None:
+        name, value = invalid
+        with pytest.raises(ValueError) as built:
+            cls(**{**fields, name: value})
+        with pytest.raises(ValueError) as replaced:
+            a._replace(**{name: value})
+        assert str(replaced.value) == str(built.value)
+
+
+def test_graph_and_law_compare_by_identity():
+    graph = make_graph("AB", ["AB"])
+    assert graph == graph and graph != make_graph("AB", ["AB"])
+    spec = OccupancySpec(_PARAMS, 2.0)
+    law = exact_occupation_distribution(spec, 0.02)
+    assert law == law and law != exact_occupation_distribution(spec, 0.02)

@@ -1,6 +1,5 @@
 """Tests for scenario config parsing and the HELLO-round event loop."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -451,8 +450,8 @@ pairs = A-C B-C
 def test_diamond_beta_flip_threshold():
     # Costs: short 2 + 0.8*beta vs long 3 + 0.1*beta, crossing at beta = 10/7.
     cfg = load_scenario_config(str(DIAMOND))
-    below = dataclasses.replace(cfg, beta=10.0 / 7.0 - 0.05)
-    above = dataclasses.replace(cfg, beta=10.0 / 7.0 + 0.05)
+    below = cfg._replace(beta=10.0 / 7.0 - 0.05)
+    above = cfg._replace(beta=10.0 / 7.0 + 0.05)
     route_below = [e for e in run_scenario(below, 42).events if ",route,A," in e][0]
     route_above = [e for e in run_scenario(above, 42).events if ",route,A," in e][0]
     assert "path=A>B>D" in route_below
