@@ -95,8 +95,7 @@ class Trajectory:
     __slots__ = ("horizon", "segments", "on_time_before")
 
     def __init__(self, horizon: float, segments: tuple[Segment, ...]) -> None:
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+        _check_horizon(horizon)
         if not segments:
             raise ValueError("a trajectory needs at least one segment")
         tol = _TILE_TOL * max(1.0, horizon)
@@ -194,15 +193,11 @@ def _lockstep(
     start = np.zeros(now_on.size)
     while paths.size:
         rate = np.where(now_on, lam[paths], mu[paths])
-        if rate.all():
-            duration = draw(paths) / rate
-            redraw = (duration <= 0.0).nonzero()[0]
-        else:
-            # A path that cannot leave its state runs out the horizon in it.
-            moving = rate.nonzero()[0]
-            duration = np.full(paths.size, math.inf)
-            duration[moving] = draw(paths[moving]) / rate[moving]
-            redraw = moving[duration[moving] <= 0.0]
+        # A path that cannot leave its state runs out the horizon in it.
+        moving = rate.nonzero()[0]
+        duration = np.full(paths.size, math.inf)
+        duration[moving] = draw(paths[moving]) / rate[moving]
+        redraw = moving[duration[moving] <= 0.0]
         while redraw.size:
             duration[redraw] = draw(paths[redraw]) / rate[redraw]
             redraw = redraw[duration[redraw] <= 0.0]

@@ -55,7 +55,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .activity import NodeState, OnOffParams
+from .activity import NodeState, OnOffParams, _check_horizon
 
 if TYPE_CHECKING:  # annotations only: functions that build arrays import numpy (see cli)
     import numpy as np
@@ -94,8 +94,7 @@ class OccupancySpec(_SpecFields):
     __slots__ = ()
 
     def __new__(cls, params: OnOffParams, horizon: float) -> OccupancySpec:
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+        _check_horizon(horizon)
         return super().__new__(cls, params, horizon)
 
     @classmethod

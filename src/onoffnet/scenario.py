@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .activity import OnOffParams, buffered_draws, on_times_lockstep
@@ -47,16 +48,6 @@ from .routing import (
 _NODE_ID = re.compile(r"^[A-Za-z0-9_]+$")
 
 _NODE_KEYS = ("k", "tau", "capacity", "f_init", "lambda", "mu")
-
-# The keys each section may hold; every key of [nodes] is a node id.  Only
-# [queries] may be left out.
-_SECTION_KEYS = {
-    "scenario": ("horizon", "hello_period", "staleness", "beta", "exhaust_threshold", "seeds", "out_dir"),
-    "codec": ("d_min", "d_max", "slots"),
-    "nodes": None,
-    "links": ("pairs",),
-    "queries": ("routes",),
-}
 
 
 class ConfigError(ValueError):
@@ -94,7 +85,9 @@ class ScenarioResult(NamedTuple):
     metrics: dict[str, float]
 
 
-def _parse_node_line(raw: str) -> dict[str, float]:
+def _parse_node(node_id: str, raw: str) -> NodeSetup:
+    if not _NODE_ID.match(node_id):
+        raise ValueError("invalid node id")
     fields: dict[str, float] = {}
     for token in raw.split():
         key, sep, value = token.partition("=")
@@ -108,7 +101,10 @@ def _parse_node_line(raw: str) -> dict[str, float]:
     missing = [k for k in _NODE_KEYS if k not in fields]
     if missing:
         raise ValueError(f"missing node key(s): {', '.join(missing)}")
-    return fields
+    return NodeSetup(
+        SodModel(fields["k"], fields["tau"], fields["capacity"], fields["f_init"]),
+        OnOffParams(fields["lambda"], fields["mu"]),
+    )
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
@@ -122,13 +118,58 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
     return seeds
 
 
+def _ranged(ok: Callable[[float], bool], rule: str, raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and ok(value)):
+        raise ValueError(f"must {rule}, got {value}")
+    return value
+
+
+def _read_pairs(sep: str, form: str, same: str, raw: str, nodes: dict) -> tuple[tuple[str, str], ...]:
+    """``A<sep>B`` tokens as pairs of two ``nodes``; a ConfigError names each bad token once."""
+    pairs, errors = [], []
+    for token in raw.split():
+        a, found, b = token.partition(sep)
+        if not (found and a and b):
+            errors.append(f"expected {form} tokens, got {token!r}")
+        elif a not in nodes or b not in nodes:
+            errors.append(f"{token!r} references unknown node")
+        elif a == b:
+            errors.append(f"{same} {token!r}")
+        else:
+            pairs.append((a, b))
+    if errors:
+        raise ConfigError(errors)
+    return tuple(pairs)
+
+
+# The file format: section -> key -> the cast that reads the key's value and
+# raises ValueError on a bad one; the keys of [nodes] (None) are node ids.
+# Only the _OPTIONAL sections and keys may be left out.
+_FORMAT: dict[str, dict[str, Callable] | None] = {
+    "scenario": {
+        "horizon": partial(_ranged, lambda v: v > 0, "be finite and > 0"),
+        "hello_period": partial(_ranged, lambda v: v > 0, "be finite and > 0"),
+        "staleness": partial(_ranged, lambda v: v >= 0, "be finite and >= 0"),
+        "beta": partial(_ranged, lambda v: v >= 0, "be finite and >= 0"),
+        "exhaust_threshold": partial(_ranged, lambda v: 0 <= v < 1, "lie in [0, 1)"),
+        "seeds": _parse_seeds,
+        "out_dir": str,
+    },
+    "codec": {"d_min": float, "d_max": float, "slots": int},
+    "nodes": None,
+    "links": {"pairs": partial(_read_pairs, "-", "A-B", "self-link")},
+    "queries": {"routes": partial(_read_pairs, ":", "SRC:DST", "src and dst coincide in")},
+}
+_OPTIONAL = ("queries", "out_dir", "routes")
+
+
 def load_scenario_config(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file; raises ConfigError naming every bad field.
 
-    ``_SECTION_KEYS`` lists the sections and the keys each may hold; an
+    ``_FORMAT`` states the sections, their keys and how each key is read; an
     unknown section or key is refused by name before any field is read.
-    ``seeds`` gives one run per seed: one or more distinct non-negative
-    integers.
+    ``seeds`` gives one run per seed: one or more distinct non-negative integers.
     """
     import configparser  # here, not at the top: no other command reads a config
     parser = configparser.ConfigParser(interpolation=None)
@@ -139,124 +180,63 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError([str(exc).replace("\n", " ")]) from exc
 
-    errors: list[str] = []
-
-    def grab(section: str, key: str, cast, default=None, required: bool = True):
-        if not parser.has_option(section, key):
-            if required:
-                errors.append(f"{section}.{key}: missing")
-            return default
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            errors.append(f"{section}.{key}: {exc}")
-            return default
-
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            errors.append(f"{section}: unknown section")
-        elif _SECTION_KEYS[section] is not None:
-            for key in parser.options(section):
-                if key not in _SECTION_KEYS[section]:
-                    errors.append(f"{section}.{key}: unknown key")
-    for section in _SECTION_KEYS:
-        if section != "queries" and not parser.has_section(section):
-            errors.append(f"{section}: missing section")
+    errors = [f"{section}: unknown section" for section in parser.sections() if section not in _FORMAT]
+    for section, keys in _FORMAT.items():
+        if not parser.has_section(section):
+            if section not in _OPTIONAL:
+                errors.append(f"{section}: missing section")
+        elif keys is not None:
+            errors += [f"{section}.{key}: unknown key" for key in parser.options(section) if key not in keys]
     if errors:
         raise ConfigError(errors)
 
-    horizon = grab("scenario", "horizon", float)
-    hello_period = grab("scenario", "hello_period", float)
-    staleness = grab("scenario", "staleness", float)
-    beta = grab("scenario", "beta", float)
-    exhaust_threshold = grab("scenario", "exhaust_threshold", float)
-    out_dir = grab("scenario", "out_dir", str, required=False)
-
-    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
-        errors.append(f"scenario.horizon: must be finite and > 0, got {horizon}")
-    if hello_period is not None and not (math.isfinite(hello_period) and hello_period > 0):
-        errors.append(f"scenario.hello_period: must be finite and > 0, got {hello_period}")
-    if staleness is not None and not (math.isfinite(staleness) and staleness >= 0):
-        errors.append(f"scenario.staleness: must be finite and >= 0, got {staleness}")
-    if beta is not None and not (math.isfinite(beta) and beta >= 0):
-        errors.append(f"scenario.beta: must be finite and >= 0, got {beta}")
-    if exhaust_threshold is not None and not 0 <= exhaust_threshold < 1:
-        errors.append(f"scenario.exhaust_threshold: must lie in [0, 1), got {exhaust_threshold}")
-
-    seeds = grab("scenario", "seeds", _parse_seeds)
+    values: dict[str, object] = {}
+    nodes: dict[str, NodeSetup] = {}
+    for section, keys in _FORMAT.items():
+        if keys is None:
+            for node_id in parser.options(section):
+                try:
+                    nodes[node_id] = _parse_node(node_id, parser.get(section, node_id))
+                except ValueError as exc:
+                    errors.append(f"{section}.{node_id}: {exc}")
+            if not nodes:
+                errors.append(f"{section}: at least one node is required")
+            continue
+        for key, cast in keys.items():
+            raw = parser.get(section, key, fallback=None)
+            if raw is None:
+                if key not in _OPTIONAL:
+                    errors.append(f"{section}.{key}: missing")
+                continue
+            try:
+                values[key] = cast(raw, nodes) if section in ("links", "queries") else cast(raw)
+            except ValueError as exc:
+                errors += [f"{section}.{key}: {message}" for message in getattr(exc, "errors", [exc])]
 
     codec = None
-    d_min = grab("codec", "d_min", float)
-    d_max = grab("codec", "d_max", float)
-    slots = grab("codec", "slots", int)
-    if None not in (d_min, d_max, slots):
+    if {"d_min", "d_max", "slots"} <= values.keys():
         try:
-            codec = HelloCodec(d_min, d_max, slots)
+            codec = HelloCodec(values["d_min"], values["d_max"], values["slots"])
         except ValueError as exc:
             errors.append(f"codec: {exc}")
-
-    nodes: dict[str, NodeSetup] = {}
-    for node_id in parser.options("nodes"):
-        if not _NODE_ID.match(node_id):
-            errors.append(f"nodes.{node_id}: invalid node id")
-            continue
-        try:
-            fields = _parse_node_line(parser.get("nodes", node_id))
-            model = SodModel(fields["k"], fields["tau"], fields["capacity"], fields["f_init"])
-            activity = OnOffParams(fields["lambda"], fields["mu"])
-        except ValueError as exc:
-            errors.append(f"nodes.{node_id}: {exc}")
-            continue
-        nodes[node_id] = NodeSetup(model, activity)
-    if not nodes:
-        errors.append("nodes: at least one node is required")
-
-    links: set[frozenset[str]] = set()
-    pairs_raw = grab("links", "pairs", str, default="")
-    for token in (pairs_raw or "").split():
-        a, sep, b = token.partition("-")
-        if not sep or not a or not b:
-            errors.append(f"links.pairs: expected A-B tokens, got {token!r}")
-            continue
-        if a == b:
-            errors.append(f"links.pairs: self-link {token!r}")
-            continue
-        if a not in nodes or b not in nodes:
-            errors.append(f"links.pairs: {token!r} references unknown node")
-            continue
-        links.add(frozenset((a, b)))
-
-    queries: list[tuple[str, str]] = []
-    if parser.has_section("queries"):
-        routes_raw = grab("queries", "routes", str, default="", required=False)
-        for token in (routes_raw or "").split():
-            src, sep, dst = token.partition(":")
-            if not sep or not src or not dst:
-                errors.append(f"queries.routes: expected SRC:DST tokens, got {token!r}")
-                continue
-            if src not in nodes or dst not in nodes:
-                errors.append(f"queries.routes: {token!r} references unknown node")
-                continue
-            if src == dst:
-                errors.append(f"queries.routes: src and dst coincide in {token!r}")
-                continue
-            queries.append((src, dst))
+    # run_scenario counts int(horizon / hello_period) rounds.
+    if {"horizon", "hello_period"} <= values.keys() and math.isinf(values["horizon"] / values["hello_period"]):
+        errors.append(f"scenario.hello_period: horizon / hello_period overflows, got {values['hello_period']}")
 
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
         nodes=nodes,
-        links=frozenset(links),
+        links=frozenset(map(frozenset, values["pairs"])),
         codec=codec,
-        hello_period=hello_period,
-        staleness=staleness,
-        beta=beta,
-        exhaust_threshold=exhaust_threshold,
-        horizon=horizon,
-        seeds=seeds,
-        queries=tuple(queries),
-        out_dir=out_dir,
+        hello_period=values["hello_period"],
+        staleness=values["staleness"],
+        beta=values["beta"],
+        exhaust_threshold=values["exhaust_threshold"],
+        horizon=values["horizon"],
+        seeds=values["seeds"],
+        queries=values.get("routes", ()),
+        out_dir=values.get("out_dir"),
     )
 
 

@@ -555,6 +555,18 @@ def test_route_refuses_unknown_keys_before_writing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.cfg"]
 
 
+def test_route_refuses_round_count_overflow(tmp_path):
+    # horizon / hello_period overflows to inf: one diagnostic line, no traceback.
+    text = DIAMOND.read_text().replace("horizon = 40", "horizon = 1e300")
+    config = tmp_path / "overflow.cfg"
+    config.write_text(text.replace("hello_period = 10", "hello_period = 1e-10"))
+    proc = run_cli(["route", "--config", str(config), "--out-dir", "r"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: invalid config: scenario.hello_period:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
 def test_readme_config_example_loads(tmp_path):
     # The README's INI block is a complete scenario file: the same five-node
     # diamond as configs/diamond.cfg.

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,67 @@ def test_config_rejects_unknown_keys(tmp_path):
         "scenario.replications: unknown key",
         "codec.e_full: unknown key",
     ]
+
+
+# Every key of the format, with bad values for it and the prefix each error
+# takes: the key's own name, or `codec` where the bounds and the slot count
+# parsed but HelloCodec refused them.  A key with no bad value takes any text.
+FORMAT_TEMPLATE = PAIR_TEMPLATE.replace("seeds = 3", "seeds = 3\nout_dir = runs") + "\n[queries]\nroutes = A:B\n"
+FORMAT_KEYS = [
+    ("scenario.horizon", ["ten", "0", "-1", "nan", "inf"]),
+    ("scenario.hello_period", ["ten", "0", "-2", "nan", "inf"]),
+    ("scenario.staleness", ["ten", "-1", "nan", "inf"]),
+    ("scenario.beta", ["ten", "-0.5", "nan", "inf"]),
+    ("scenario.exhaust_threshold", ["ten", "-0.1", "1", "nan"]),
+    ("scenario.seeds", ["ten", "", "3 3", "3 -1", "2.5"]),
+    ("scenario.out_dir", []),
+    ("codec.d_min", ["ten", ("nan", "codec:"), ("1.0", "codec:")]),
+    ("codec.d_max", ["ten", ("inf", "codec:"), ("0.0", "codec:")]),
+    ("codec.slots", ["ten", "2.5", ("1", "codec:")]),
+    ("links.pairs", ["A", "A-", "-B", "A:B", "A-A", "A-Z"]),
+    ("queries.routes", ["A", "A:", ":B", "A-B", "A:A", "A:Z"]),
+]
+OPTIONAL_KEYS = {"scenario.out_dir": None, "queries.routes": ()}
+
+
+@pytest.mark.parametrize("key,bad_values", FORMAT_KEYS, ids=[key for key, _ in FORMAT_KEYS])
+def test_format_key_by_key(tmp_path, key, bad_values):
+    section, name = key.split(".")
+    line = re.search(rf"^{name} = .*$", FORMAT_TEMPLATE, re.M).group(0)
+    field = {"pairs": "links", "routes": "queries"}.get(name, name)
+    if key in OPTIONAL_KEYS:
+        loaded = load_scenario_config(write_config(tmp_path, FORMAT_TEMPLATE.replace(line + "\n", "")))
+        assert getattr(loaded, field) == OPTIONAL_KEYS[key]
+    else:
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario_config(write_config(tmp_path, FORMAT_TEMPLATE.replace(line + "\n", "")))
+        assert excinfo.value.errors == [f"{key}: missing"]
+    for bad in bad_values:
+        value, prefix = bad if isinstance(bad, tuple) else (bad, f"{key}:")
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario_config(write_config(tmp_path, FORMAT_TEMPLATE.replace(line, f"{name} = {value}")))
+        assert len(excinfo.value.errors) == 1 and excinfo.value.errors[0].startswith(prefix), (value, excinfo.value)
+
+
+@pytest.mark.parametrize("key,token", [("links.pairs", "Z-Z"), ("queries.routes", "Z:Z")])
+def test_pair_naming_one_unknown_node_twice(tmp_path, key, token):
+    # The token form is checked first, then that both nodes exist, then that
+    # they differ: a pair naming one unknown node twice is an unknown node.
+    name = key.split(".")[1]
+    text = re.sub(rf"^{name} = .*$", f"{name} = {token}", FORMAT_TEMPLATE, flags=re.M)
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(write_config(tmp_path, text))
+    assert excinfo.value.errors == [f"{key}: {token!r} references unknown node"]
+
+
+def test_config_rejects_round_count_overflow(tmp_path):
+    # Both values are finite and positive, but horizon / hello_period is not.
+    text = DIAMOND.read_text().replace("horizon = 40", "horizon = 1e300")
+    path = write_config(tmp_path, text.replace("hello_period = 10", "hello_period = 1e-10"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario_config(path)
+    assert len(excinfo.value.errors) == 1
+    assert excinfo.value.errors[0].startswith("scenario.hello_period:")
 
 
 # --- event loop ----------------------------------------------------------------
