@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (subprocess level; in-process where a test patches or traces it)."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -33,9 +34,9 @@ def cli_env(outdir):
     return {"PATH": "/usr/bin:/bin", "ONOFFNET_OUTDIR": str(outdir), "PYTHONPATH": pythonpath}
 
 
-def run_cli(args, tmp_path, check=True):
+def run_cli(args, tmp_path, check=True, module="onoffnet.cli"):
     proc = subprocess.run(
-        [sys.executable, "-m", "onoffnet.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -734,3 +735,86 @@ def test_outputs_resolve_under_outdir_env(tmp_path):
     assert proc.returncode == 0
     assert (sub / "envtest.csv").exists()
     assert not (tmp_path / "envtest.csv").exists()
+
+
+# --- process entry point ------------------------------------------------------------
+
+# A child that enters through run() and reports, from an atexit hook (which
+# runs before interpreter teardown collects), the collector's state.
+ENTRY_CHILD = (
+    "import atexit, gc\n"
+    "from onoffnet.cli import run\n"
+    "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+    "run()\n"
+)
+
+
+def test_run_exits_with_collector_off_and_heap_frozen(tmp_path):
+    def entry(argv):
+        return subprocess.run(
+            [sys.executable, "-c", ENTRY_CHILD, *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=cli_env(tmp_path),
+        )
+
+    ok, missing = entry(README_COMMANDS[0]), entry(["route", "--config", "missing.cfg"])
+    assert (ok.returncode, missing.returncode) == (0, 1), (ok.stderr, missing.stderr)
+    assert ok.stdout.splitlines() == missing.stdout.splitlines() == ["False True"]
+    assert len(missing.stderr.splitlines()) == 1 and missing.stderr.startswith("error: ")
+    assert (tmp_path / "fig_density.csv").is_file()
+
+    # In-process callers of main() keep their collector as they had it.
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main([*README_COMMANDS[0][:-1], str(tmp_path / "in_process.csv")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def test_command_garbage_does_not_grow_with_work(tmp_path):
+    # What makes run() safe: a command's reference cycles come from its
+    # argparse and config parser objects, not from its rounds, seeds or paths,
+    # so with the collector off a larger run leaves no more cyclic garbage.
+    def garbage(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def route(seeds):
+        config = tmp_path / f"seeds{len(seeds.split())}.cfg"
+        config.write_text(network_lock_config().replace("seeds = 5\n", f"seeds = {seeds}\n"))
+        return garbage(["route", "--config", str(config), "--out-dir", str(tmp_path / config.stem)])
+
+    def validate(replications):
+        return garbage(["validate", "--replications", str(replications), "--out", str(tmp_path / "report.csv")])
+
+    # The first calls pay one-time import garbage.
+    route("5")
+    validate(10_000)
+    one, three = route("5"), route("5 6 7")
+    assert three <= one, (one, three)
+    small, large = validate(10_000), validate(40_000)
+    assert large <= small, (small, large)
+
+
+def test_package_entry_matches_cli_module(tmp_path):
+    # `python -m onoffnet` and `python -m onoffnet.cli` both enter through run().
+    for module in ("onoffnet", "onoffnet.cli"):
+        outdir = tmp_path / module
+        outdir.mkdir()
+        run_cli(README_COMMANDS[0], outdir, module=module)
+        run_cli(README_COMMANDS[-1], outdir, module=module)
+        missing = run_cli(["route", "--config", "missing.cfg"], outdir, check=False, module=module)
+        assert missing.returncode == 1, missing.stderr
+
+    def files(module):
+        root = tmp_path / module
+        return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    package, module = files("onoffnet"), files("onoffnet.cli")
+    assert sorted(package) == ["fig_density.csv", "results/events_seed42.log", "results/metrics.csv"]
+    assert package == module
