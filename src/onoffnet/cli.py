@@ -25,17 +25,19 @@ import sys
 from pathlib import Path
 from typing import Iterable, TextIO
 
-# No onoffnet code calls BLAS, yet OpenBLAS starts a worker-thread pool when
-# numpy loads, costing every command start-up time and CPU; one thread means no
-# pool.  A caller's own value is kept, and library users keep numpy's default.
+# Only validate loads numpy, and no onoffnet code calls BLAS, yet OpenBLAS
+# starts a worker-thread pool when numpy loads, costing validate start-up time
+# and CPU; one thread means no pool.  A caller's own value is kept, and library
+# users keep numpy's default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # No onoffnet module imports numpy at its top: each function that builds arrays
-# imports it itself.  Importing numpy takes about as long as a whole figure
-# command, which evaluates closed forms on Python floats and so never loads it;
-# sampled discharge, validate and route load it at their first array.  For the
-# same reason no module imports dataclasses (with inspect, about 9 ms), and
-# configparser and fractions are imported by the one function that uses each.
+# imports it itself.  Importing numpy takes longer than a whole figure, sampled
+# discharge or route command, which compute on Python floats and sample from
+# the standard library's generator, so they never load it.  For the same
+# reason no module imports dataclasses (with inspect, about 9 ms), and
+# configparser, fractions and random are imported by the functions that use
+# them.
 from . import __version__
 from .activity import GENERATOR_ID, NodeState, OnOffParams, Segment, Trajectory, monte_carlo_on_times, sample_trajectory
 from .battery import SodModel, active_time_at, discharge_current, sod_continuous

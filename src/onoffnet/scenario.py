@@ -14,9 +14,10 @@ A node's activity, discharge and death depend only on its own parameters and
 its own exponential stream, seeded once per run by (seed, node index in
 sorted order): beacons cost no energy and reception does not feed back.  So
 each round's residual energies and deaths come from ``_node_paths``, a
-function of (config, seed) that steps all alive nodes together, and the
-round loop does network work only: it logs deaths, sends and receives
-beacons, selects fresh records and answers routes.  Each event line goes to
+function of (config, seed) that steps each alive node through one HELLO
+period at a time, and the round loop does network work only: it logs
+deaths, sends and receives beacons, selects fresh records and answers
+routes.  Each event line goes to
 a sink as it happens (``run_scenario``'s ``log``, which ``route`` points at the
 open log file), so a run need not hold its log.
 Everything is iterated in sorted node order, so a run is a pure function of
@@ -33,7 +34,7 @@ import re
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .activity import OnOffParams, buffered_draws, on_times_lockstep
+from .activity import OnOffParams, _path
 from .battery import SodModel, predict_lifetime, sod_continuous
 from .routing import (
     EnergyTable,
@@ -245,36 +246,33 @@ def _node_paths(
 ) -> Iterator[tuple[dict[str, float], list[tuple[str, float, float]]]]:
     """Yield, for rounds ``k = 0, ..., n_rounds``, residual energies and deaths.
 
-    Node ``i`` (in sorted order) draws from ``default_rng((seed, i))``.  Every
-    node starts ON; per round the nodes still alive step together through
-    ``on_times_lockstep`` over one HELLO period, each from the state its last
-    period ended in, and add the period's ON time to their active time.
-    Round ``k`` yields a map from each node alive at its start (every node
-    for ``k = 0``) to its residual energy ``1 - sod`` after the round, and
-    ``(node, sod, active_time)``, in sorted order, for the nodes whose
-    residual is then at most the exhaustion threshold.  Nothing here reads
-    the network, so the sequence is a function of ``(config, seed)`` alone;
-    it is produced round by round to hold one round in memory.
+    Node ``i`` (in sorted order) draws from ``random.Random(f"{seed}:{i}")``;
+    a string seed is hashed with SHA-512, so the stream does not depend on the
+    Python version.  Every node starts ON; per round each node still alive
+    runs ``_path`` over one HELLO period, from the state its last period
+    ended in, and adds the period's ON time to its active time.  Round ``k``
+    yields a map from each node alive at its start (every node for ``k = 0``)
+    to its residual energy ``1 - sod`` after the round, and ``(node, sod,
+    active_time)``, in sorted order, for the nodes whose residual is then at
+    most the exhaustion threshold.  Nothing here reads the network, so the
+    sequence is a function of ``(config, seed)`` alone; it is produced round
+    by round to hold one round in memory.
     """
-    import numpy as np
+    import random  # here, not at the top: the figure commands never sample
     node_ids = sorted(config.nodes)
-    models = [config.nodes[nid].model for nid in node_ids]
-    lam = np.array([config.nodes[nid].activity.lam for nid in node_ids])
-    mu = np.array([config.nodes[nid].activity.mu for nid in node_ids])
-    on = np.ones(len(node_ids), dtype=bool)
-    draw = buffered_draws([np.random.default_rng((seed, i)) for i in range(len(node_ids))])
+    setups = [config.nodes[nid] for nid in node_ids]
+    rands = [random.Random(f"{seed}:{i}").random for i in range(len(node_ids))]
+    on = [True] * len(node_ids)
     active = [0.0] * len(node_ids)
-    sod = [model.initial_sod for model in models]
+    sod = [setup.model.initial_sod for setup in setups]
     alive = list(range(len(node_ids)))
     for round_index in range(n_rounds + 1):
         if round_index:
-            index = np.array(alive, dtype=np.intp)
-            on_time, on[index] = on_times_lockstep(
-                lam[index], mu[index], on[index], config.hello_period, lambda paths: draw(index[paths])
-            )
-            for i, period_on_time in zip(alive, on_time.tolist()):
+            for i in alive:
+                lam, mu = setups[i].activity
+                period_on_time, on[i] = _path(lam, mu, on[i], config.hello_period, rands[i])
                 active[i] += period_on_time
-                sod[i] = sod_continuous(models[i], active[i])
+                sod[i] = sod_continuous(setups[i].model, active[i])
         dead = [i for i in alive if 1.0 - sod[i] <= config.exhaust_threshold]
         yield {node_ids[i]: 1.0 - sod[i] for i in alive}, [(node_ids[i], sod[i], active[i]) for i in dead]
         alive = [i for i in alive if i not in dead]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from onoffnet.activity import (
     OnOffParams,
     Segment,
     Trajectory,
-    _lockstep,
-    buffered_draws,
+    _path,
     monte_carlo_on_times,
-    on_times_lockstep,
     sample_trajectory,
     total_on_time,
 )
+from onoffnet.battery import SodModel, sod_continuous
+from onoffnet.routing import HelloCodec
+from onoffnet.scenario import NodeSetup, ScenarioConfig, _node_paths
 
 
 def test_params_validation():
@@ -78,9 +80,18 @@ def test_sample_rejects_nonpositive_horizon():
         sample_trajectory(OnOffParams(1.0, 1.0), NodeState.ON, 0.0, 3)
 
 
+def test_negative_seed_is_refused():
+    # random.Random would seed -7 as 7, so two seeds would give one stream.
+    p = OnOffParams(1.0, 1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sample_trajectory(p, NodeState.ON, 5.0, -7)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        monte_carlo_on_times(p, NodeState.ON, 5.0, 10, -7)
+
+
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
 def test_monte_carlo_rejects_bad_horizon(horizon):
-    # The batched loop would never finish a path on a NaN horizon.
+    # The sampling loop would never finish a path on a NaN horizon.
     with pytest.raises(ValueError):
         monte_carlo_on_times(OnOffParams(1.0, 1.0), NodeState.ON, horizon, 10, 3)
 
@@ -118,14 +129,16 @@ def test_long_run_on_fraction_matches_stationary_law():
 
 
 def test_first_on_sojourn_is_exponential():
-    # KS test of the first ON sojourn (lam = 1) against Exp(1) over 1e5 paths,
-    # the first step of one lockstep batch; a sojourn is censored only past
-    # the horizon 30, with probability e^-30.
+    # KS test of the first ON sojourn (lam = 1) against Exp(1) over 1e5 paths
+    # read in turn from one generator; a sojourn is censored only past the
+    # horizon 30, with probability e^-30.
     n = 100_000
-    rng = np.random.default_rng(0)
-    steps = _lockstep(np.full(n, 1.0), np.full(n, 0.01), np.ones(n, dtype=bool), 30.0,
-                      lambda paths: rng.standard_exponential(paths.size))
-    _, _, _, first = next(steps)
+    rand = random.Random(0).random
+    first = []
+    for _ in range(n):
+        segments = []
+        _path(1.0, 0.01, True, 30.0, rand, segments)
+        first.append(segments[0].duration)
     statistic = stats.kstest(first, "expon", args=(0.0, 1.0)).statistic
     critical = stats.kstwobign.isf(0.01) / math.sqrt(n)
     assert statistic < critical
@@ -165,8 +178,9 @@ _RATES = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 
 
 def scalar_draws(seed):
-    """Standard exponentials from ``default_rng(seed)``, one scalar call per value."""
-    return iter(np.random.default_rng(seed).standard_exponential, None)
+    """Standard exponentials ``-log(1 - u)``, one per uniform ``u`` of ``random.Random(seed)``."""
+    uniform = random.Random(seed).random
+    return iter(lambda: -math.log(1.0 - uniform()), None)
 
 
 def scalar_sojourns(params, initial, horizon, draws):
@@ -195,20 +209,6 @@ def scalar_trajectory(params, initial, horizon, draws):
     return Trajectory(horizon, tuple(Segment(*s) for s in scalar_sojourns(params, initial, horizon, draws)))
 
 
-def stream_draw(streams):
-    """A ``draw`` for ``on_times_lockstep``: path ``p`` reads ``streams[p]``."""
-    return lambda paths: np.array([next(streams[p]) for p in paths.tolist()])
-
-
-def one_path(params, initial, horizon, draws):
-    """``on_times_lockstep`` on the single path ``(params, initial)``."""
-    on_time, final_on = on_times_lockstep(
-        np.array([params.lam]), np.array([params.mu]), np.array([initial is NodeState.ON]),
-        horizon, stream_draw([draws]),
-    )
-    return on_time.tolist()[0], NodeState.ON if final_on[0] else NodeState.OFF
-
-
 _PATH_CASE = dict(
     lam=_RATES,
     mu=_RATES,
@@ -221,8 +221,8 @@ _PATH_CASE = dict(
 @settings(max_examples=300, deadline=None)
 @given(**_PATH_CASE)
 def test_sampled_trajectory_is_the_scalar_loop(lam, mu, initial, horizon, seed):
-    # Bit for bit, and as Python floats: an np.float64 would print as
-    # np.float64(...) under numpy 2 and change csv_rows and the segments CSV.
+    # Bit for bit, and as Python floats, so csv_rows and the segments CSV
+    # print the oracle's values.
     params = OnOffParams(lam, mu)
     segments = sample_trajectory(params, initial, horizon, seed).segments
     assert segments == scalar_trajectory(params, initial, horizon, scalar_draws(seed)).segments
@@ -232,10 +232,12 @@ def test_sampled_trajectory_is_the_scalar_loop(lam, mu, initial, horizon, seed):
 @settings(max_examples=300, deadline=None)
 @given(**_PATH_CASE)
 def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, seed):
-    # The core's two readers agree: totals and last state against segments.
+    # The core without segments gives the total and last state of the
+    # trajectory it builds with them.
     params = OnOffParams(lam, mu)
     traj = sample_trajectory(params, initial, horizon, seed)
-    assert one_path(params, initial, horizon, scalar_draws(seed)) == (
+    on_time, final_on = _path(lam, mu, initial is NodeState.ON, horizon, random.Random(seed).random)
+    assert (on_time, NodeState.ON if final_on else NodeState.OFF) == (
         total_on_time(traj),
         traj.segments[-1].state,
     )
@@ -244,85 +246,89 @@ def test_sample_on_time_equals_sampled_trajectory(lam, mu, initial, horizon, see
 @settings(max_examples=300, deadline=None)
 @given(**_PATH_CASE)
 def test_single_monte_carlo_run_is_the_scalar_path(lam, mu, initial, horizon, seed):
-    # Monte Carlo, at one path, draws one value per numpy call: the scalar
-    # draws of its generator.
+    # Monte Carlo at one path reads its generator as one sampled trajectory does.
     params = OnOffParams(lam, mu)
-    batched = monte_carlo_on_times(params, initial, horizon, 1, seed)
-    assert batched[0] == total_on_time(scalar_trajectory(params, initial, horizon, scalar_draws(seed)))
+    runs = monte_carlo_on_times(params, initial, horizon, 1, seed)
+    assert runs[0] == total_on_time(scalar_trajectory(params, initial, horizon, scalar_draws(seed)))
 
 
-_PATH = st.tuples(_RATES, _RATES, st.sampled_from(NodeState), st.integers(min_value=0, max_value=2**64 - 1))
+_NODE = st.tuples(
+    _RATES,
+    _RATES,
+    st.floats(min_value=0.01, max_value=1.0),  # k / capacity: small values never die
+    st.floats(min_value=0.0, max_value=0.99),  # f_init
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    paths=st.lists(_PATH, min_size=1, max_size=8),
-    horizons=st.lists(st.floats(min_value=1e-3, max_value=20.0), min_size=1, max_size=4),
+    nodes=st.lists(_NODE, min_size=1, max_size=12),
+    period=st.floats(min_value=1e-3, max_value=20.0),
+    n_rounds=st.integers(min_value=0, max_value=6),
+    threshold=st.floats(min_value=0.0, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_lockstep_paths_equal_their_scalar_trajectories(paths, horizons):
-    # Each path reads consecutive periods from one stream, its state carried
-    # over, as a scenario node does; per period the core must give the
-    # scalar trajectory's total and last state bit for bit.
-    lam = np.array([p[0] for p in paths])
-    mu = np.array([p[1] for p in paths])
-    on = np.array([p[2] is NodeState.ON for p in paths])
-    streams = [scalar_draws(p[3]) for p in paths]
-    oracle_streams = [scalar_draws(p[3]) for p in paths]
-    states = [p[2] for p in paths]
-    for horizon in horizons:
-        on_time, on = on_times_lockstep(lam, mu, on, horizon, stream_draw(streams))
-        for i, (path_lam, path_mu, _, _) in enumerate(paths):
-            traj = scalar_trajectory(OnOffParams(path_lam, path_mu), states[i], horizon, oracle_streams[i])
-            states[i] = traj.segments[-1].state
-            assert on_time.tolist()[i] == total_on_time(traj)
-            assert on[i] == (states[i] is NodeState.ON)
+def test_node_paths_are_each_nodes_scalar_periods(nodes, period, n_rounds, threshold, seed):
+    # Node i (in sorted order) reads consecutive HELLO periods from
+    # random.Random(f"{seed}:{i}"), its state carried over; per round the
+    # residuals and deaths must be the oracle's, period ON times added left
+    # to right, bit for bit.  The ids are listed in reverse, and from eleven
+    # nodes on "N10" sorts before "N2", so sorted order is not list order.
+    ids = [f"N{i}" for i in reversed(range(len(nodes)))]
+    setups = {
+        nid: NodeSetup(SodModel(ratio, 1.0, 1.0, f_init), OnOffParams(lam, mu))
+        for nid, (lam, mu, ratio, f_init) in zip(ids, nodes)
+    }
+    config = ScenarioConfig(setups, frozenset(), HelloCodec(0.0, 1.0, 8), period, 1.0, 1.0, threshold,
+                            period * n_rounds, (seed,))
+    order = sorted(ids)
+    draws = {nid: scalar_draws(f"{seed}:{i}") for i, nid in enumerate(order)}
+    state = dict.fromkeys(order, NodeState.ON)
+    active = dict.fromkeys(order, 0.0)
+    alive = list(order)
+    expected = []
+    for round_index in range(n_rounds + 1):
+        if round_index:
+            for nid in alive:
+                traj = scalar_trajectory(setups[nid].activity, state[nid], period, draws[nid])
+                state[nid] = traj.segments[-1].state
+                active[nid] += total_on_time(traj)
+        sod = {nid: sod_continuous(setups[nid].model, active[nid]) for nid in alive}
+        dead = [nid for nid in alive if 1.0 - sod[nid] <= threshold]
+        expected.append(({nid: 1.0 - sod[nid] for nid in alive}, [(nid, sod[nid], active[nid]) for nid in dead]))
+        alive = [nid for nid in alive if nid not in dead]
+    assert list(_node_paths(config, seed, n_rounds)) == expected
 
 
 @pytest.mark.parametrize("stuck", [False, True], ids=["all-moving", "one-absorbed"])
 def test_zero_draws_are_drawn_again(stuck):
-    # A zero draw (probability about 2**-53) would make a zero-length
-    # sojourn; the core draws again for that path alone until it is
-    # positive, as the scalar loop does.  With ``stuck``, a third path that
-    # never leaves ON takes the branch where some paths draw nothing.
-    values = {0: [0.0, 0.0, 0.4, 5.0], 1: [0.7, 5.0]}
+    # A zero uniform (probability 2**-53) would make a zero-length sojourn;
+    # the core draws again until it is positive, as the scalar loop does.
+    # With ``stuck`` the OFF state cannot be left (mu = 0), so the path takes
+    # no draw for it and stays OFF to the horizon.
+    values = [0.0, 0.0, 1.0 - math.exp(-0.4), 0.9, 0.5]
     calls = []
 
-    def draw(paths):
-        calls.append(paths.tolist())
-        return np.array([values[p].pop(0) for p in paths.tolist()])
+    def rand():
+        calls.append(values[len(calls)])
+        return calls[-1]
 
-    lam, mu, on = [1.0, 2.0], [1.0, 1.0], [True, True]
-    if stuck:
-        lam, mu, on = lam + [0.0], mu + [1.0], on + [True]
-    on_time, final_on = on_times_lockstep(np.array(lam), np.array(mu), np.array(on), 3.0, draw)
-    assert calls == [[0, 1], [0], [0], [0, 1]]
-    assert on_time.tolist() == [0.4, 0.35] + [3.0] * stuck
-    assert final_on.tolist() == [False, False] + [True] * stuck
-    scalar = list(scalar_sojourns(OnOffParams(1.0, 1.0), NodeState.ON, 3.0, iter([0.0, 0.0, 0.4, 5.0])))
-    assert [s[2] for s in scalar] == [0.4, 2.6]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
-    data=st.data(),
-)
-def test_buffered_draws_are_each_generators_scalar_draws(seeds, data):
-    # Whatever subsets of paths ask, and however often, path p reads its own
-    # generator's scalar draws in order, across block refills.
-    draw = buffered_draws([np.random.default_rng(seed) for seed in seeds])
-    scalar = [np.random.default_rng(seed) for seed in seeds]
-    subsets = st.lists(st.integers(min_value=0, max_value=len(seeds) - 1), unique=True).map(sorted)
-    for paths in data.draw(st.lists(subsets, max_size=80)):
-        values = draw(np.array(paths, dtype=np.intp))
-        assert values.tolist() == [scalar[p].standard_exponential() for p in paths]
+    mu = 0.0 if stuck else 1.0
+    segments = []
+    on_time, final_on = _path(1.0, mu, True, 3.0, rand, segments)
+    draws = iter([-math.log(1.0 - u) for u in values])
+    oracle = tuple(Segment(*s) for s in scalar_sojourns(OnOffParams(1.0, mu), NodeState.ON, 3.0, draws))
+    assert tuple(segments) == oracle
+    assert calls == (values[:3] if stuck else values)
+    assert [seg.state for seg in segments] == [NodeState.ON, NodeState.OFF] + [NodeState.ON] * (not stuck)
+    assert (on_time, final_on) == (total_on_time(Trajectory(3.0, oracle)), not stuck)
 
 
 def test_monte_carlo_bit_stream_is_pinned():
-    # Recorded when Monte Carlo began drawing all paths from one generator;
+    # Recorded when Monte Carlo moved to the scalar core on random.Random;
     # any change to the draws, their order, the clipping or the summation
     # moves this hash.
     runs = monte_carlo_on_times(OnOffParams(1.0, 3.0), NodeState.ON, 4.0, 2000, 7)
     assert hashlib.sha256(runs.tobytes()).hexdigest() == (
-        "eab82891f9d3e9830365e26f9c2a27786adac10258e844b99aac79babf5c5a6a"
+        "a148e859aa0c1d74825d20480cbd3700f0c3e3452e3aa51e302d9182720ed5b8"
     )

@@ -109,6 +109,42 @@ def test_import_leaves_scipy_unloaded(tmp_path):
             assert (tmp_path / out).is_file(), f"{args[0]} did not write {out}"
 
 
+def test_sampling_commands_run_without_numpy(tmp_path):
+    # Sampled discharge and route draw from the standard library's generator,
+    # so they run against a numpy that fails to import and write the bytes
+    # they write with numpy installed.  The route network is the 64-node
+    # random geometric lock graph, whose nodes die at t=0 and mid-run.
+    stub = tmp_path / "stub" / "numpy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("numpy is not installed")\n')
+    (tmp_path / "lock.cfg").write_text(network_lock_config())
+    commands = (
+        (["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--lambda", "1", "--mu", "2", "--seed", "7",
+          "--horizon", "10", "--out", "g.csv", "--trajectory-out", "gs.csv"], ["g.csv", "gs.csv"]),
+        (["route", "--config", "../../lock.cfg", "--out-dir", "r"], ["r/events_seed5.log", "r/metrics.csv"]),
+    )
+    written = {}
+    for name in ("stub", "numpy"):
+        outdir = tmp_path / name / "out"
+        outdir.mkdir(parents=True)
+        env = cli_env(outdir)
+        if name == "stub":
+            env["PYTHONPATH"] = str(stub.parent) + os.pathsep + env["PYTHONPATH"]
+            probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, env=env)
+            assert probe.returncode != 0  # the stub shadows the installed numpy
+        for args, outputs in commands:
+            proc = subprocess.run([sys.executable, "-m", "onoffnet.cli", *args], capture_output=True, text=True,
+                                  cwd=outdir, env=env)
+            assert proc.returncode == 0, f"{args[0]}: {proc.stderr}"
+            for out in outputs:
+                written[name, out] = (outdir / out).read_bytes()
+    for _, outputs in commands:
+        for out in outputs:
+            assert written["stub", out] == written["numpy", out], out
+    deaths = written["stub", "r/events_seed5.log"].count(b",death,")
+    assert deaths > 1, deaths
+
+
 def run_python(code, tmp_path, env=None):
     """Run ``python -c code`` in a ``cli_env`` child; return its stripped stdout."""
     proc = subprocess.run(
@@ -176,10 +212,11 @@ STARTUP_MODULES = ("dataclasses", "inspect", "configparser", "fractions", "decim
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
     # np.unique and np.union1d import numpy.ma (about 15 ms) on first use.  The
-    # five figure commands evaluate closed forms on floats and load no numpy at
-    # all; sampled discharge, validate and route load it for their arrays, and
-    # numpy loads inspect.  Only route reads a config, so only route loads
-    # configparser.  Modules loaded before the import (by site) do not count.
+    # figure commands and sampled discharge compute on floats and the standard
+    # library's generator, and route samples the same way, so only validate
+    # loads numpy, for its exact law and quadrature, and numpy loads inspect.
+    # Only route reads a config, so only route loads configparser.  Modules
+    # loaded before the import (by site) do not count.
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -197,9 +234,9 @@ def test_readme_command_leaves_numpy_ma_unloaded(tmp_path, argv):
         env=cli_env(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
-    index = README_COMMANDS.index(argv)
-    loaded = [] if index < 5 else ["inspect"] if index < 7 else ["configparser", "inspect"]
-    assert proc.stdout.splitlines() == ["[]", str(index >= 5), str(loaded)]
+    validate = argv[0] == "validate"
+    loaded = ["inspect"] if validate else ["configparser"] if argv[0] == "route" else []
+    assert proc.stdout.splitlines() == ["[]", str(validate), str(loaded)]
 
 
 def test_figure_output_lock(tmp_path):
@@ -215,12 +252,12 @@ def test_figure_output_lock(tmp_path):
                      "segments.csv")
     }
     assert digests == {
-        "fig_density.csv": "a27d54f0549b1c2935f779460c4e7ca4b63622f31851debf39778827c1d0956f",
-        "single.csv": "2c3a0d483ebe19e029706d5fca4609adee5dfbf815e80549c0cd5882317d5428",
-        "fig_mean.csv": "3a03e21d1d032156d4a22fe55e01474232c86eefb6df92239d0d5b45b8face14",
-        "continuous.csv": "e7026b9b29ba9c6d4bd3fa50ed54fac859d7a8da41cca6f63cae183cb2723c6d",
-        "modulated.csv": "6dda6fc110e637700904c9d6125a480fe854389898d060e85917362b465b4215",
-        "segments.csv": "f61fa017f08ab34b6830aef7f862bfa8074d71bc4d8ec877d55b60943d6246a5",
+        "fig_density.csv": "a6f167ca876f0394f2d0527a060c4bce325d08727970b91701e24c591e61dad4",
+        "single.csv": "f3544459ca3fba80ecbb549cec71bc589cf30931b44296a3c27a71edafe274ae",
+        "fig_mean.csv": "a53c2123458b32bb89e84993e3f9bc78b11d56576139457a05ba89b80ff890b0",
+        "continuous.csv": "92fdebf8127511098e508a41a20e2c865690036250caddc83ee1a05ac7e871be",
+        "modulated.csv": "d14b4759c9c8297177d070a9900eae7f5326a6e9580618ad38ebe4f4f13eb3f3",
+        "segments.csv": "75610955df114cb45ef5751c20712918bec8596279870d96f155bd811556ccb6",
     }
 
 
@@ -234,7 +271,7 @@ def test_density_multi_column_integrates_to_one(tmp_path):
     )
     comments, header, data = read_table(tmp_path / "d.csv")
     assert header == ["theta", "x=1.0"]
-    assert any("generator=numpy-pcg64" in c for c in comments)
+    assert any("generator=python-random-mt19937" in c for c in comments)
     mass = trapezoid(data[:, 1], data[:, 0])
     assert mass == pytest.approx(1.0, abs=1e-6)
 
@@ -363,10 +400,10 @@ def test_discharge_modulated_final_sod_matches_continuous(tmp_path):
 @pytest.mark.parametrize(
     "lam,segments,digests",
     [
-        ("1", 680, ("38e2522198ce04413c051969e434cabbf1be21ab7d2d3e3221fa58994d71b1cc",
-                    "0b1b0d7c0b980c8fae5be1e703f2c31bf4cd0818ab6b46af49ad02ddf8b56caf")),
-        ("0", 1, ("1e61473f69adb5e3a64553ccaeb61a49fc454c1666f8587234fd4907d008631d",
-                  "856a2ab6bd9bbf9e60ae8b15f9cc2d6e083afda11433df65000211fa53726321")),
+        ("1", 702, ("f352f3e297545ebdc5e17953c99c6ee33fc3a5b961af94e6ce7e4770265efe2c",
+                    "b8de140cb1bdccf584470aff03ed528281a17c0df83f6246e2b17fe0d6b9cd4c")),
+        ("0", 1, ("a7233fb19fd337deb0598cda37496ef87ee6c1165bc82c78593ffe2c8995a569",
+                  "528a9a661680b03aff8f07da39e0c7643ca6e3cc6ee37917f1c05258b00ac111")),
     ],
     ids=["alternating", "absorbing"],
 )
@@ -492,9 +529,10 @@ def test_validate_degenerate_always_on_row(tmp_path):
     assert np.all(np.isfinite(data))
     assert data[1, cols["atom_zero_start_off"]] == 1.0
     assert data[2, cols["atom_full_start_on"]] == 1.0
-    # Unchanged since before the degenerate-rate branches existed.
+    # Unchanged since before the degenerate-rate branches existed, but for
+    # mc_mean, which moved with the sampling stream.
     assert (tmp_path / "huge.csv").read_text().splitlines()[3] == (
-        "1e+200,0.0,10.0,-1e+200,1e-200,1e-200,1e-200,0.0,9.929774373596373e-201,0.0,"
+        "1e+200,0.0,10.0,-1e+200,1e-200,1e-200,1e-200,0.0,9.942763939550014e-201,0.0,"
         "5.551115123125783e-17,0.0,0.0,0.0,1.0,0.0"
     )
 
@@ -607,9 +645,9 @@ def test_route_log_lock(tmp_path):
         for name in ("events_seed5.log", "events_seed6.log", "metrics.csv")
     }
     assert digests == {
-        "events_seed5.log": "ab897d85dcbcc45ca3c5574eb5e6e4fa6730e636dc7b37c4ed4ccd80ad3b46a2",
-        "events_seed6.log": "a5b7160baa11ab73df7128c1122d6774976310df9e2658c1582ceae1eba51296",
-        "metrics.csv": "b497843875210b1b2243f303a279da005eef5acc5a221b84abcf2b4306464bc1",
+        "events_seed5.log": "38e0a449beec5fc8b1e628b3c7ee04793af181e6f4890b915ba145f3bdd726fd",
+        "events_seed6.log": "33a6c82dc9ce48b54f285d080b210b75093ab6f8c4340b69dd301791005eb44d",
+        "metrics.csv": "39dac0b273e26c6a25a4739702392030d850f7dba8376065b7d9a16467e49506",
     }
 
 

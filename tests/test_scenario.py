@@ -336,10 +336,10 @@ def test_output_lock(tmp_path):
     assert "2.0,route,A,dst=F;path=A>B>F;cost=2.7" in events
     metrics = "\n".join(f"{key},{value!r}" for key, value in result.metrics.items())
     assert hashlib.sha256(events.encode()).hexdigest() == (
-        "65d08c6aa4d5db09f3e1fd874f560e17b14887ea0bedd01dcc9e2a3e760fe082"
+        "f6075b75800e4da4724239de714b2bbd2c1bf615067f8d3b29057eb1cfe0ce1f"
     )
     assert hashlib.sha256(metrics.encode()).hexdigest() == (
-        "b9b52396103ffd4a05f7b527eb4b230b7e10f97143c83b3b216760cfa3781b70"
+        "718c7634e97a137a83761c09e93392a1da5bb4ee071a22f3019a4ae620a29363"
     )
 
 
@@ -400,13 +400,13 @@ def test_network_output_lock(tmp_path):
     assert "0.0,death,N00,sod=0.97;active_time=0.0" in events
     assert ",collision," in events
     assert "20.0,death,N10," in events
-    assert result.metrics["dead_nodes"] == 9.0
+    assert result.metrics["dead_nodes"] == 8.0
     metrics = "\n".join(f"{key},{value!r}" for key, value in result.metrics.items())
     assert hashlib.sha256(events.encode()).hexdigest() == (
-        "f86326d92da3c6ce7764de047bad59dd729785dd0eed9a5f38d11c054c0b148f"
+        "e16f0fd67372093cb973fdaa938ad631d8ecc005dde6abeea953e30b6c5dcd45"
     )
     assert hashlib.sha256(metrics.encode()).hexdigest() == (
-        "ba47db912ec17936f656bac7daaf37e0e508c341c6763e02c0bbb532a3863e34"
+        "ea17e6fedb88f05581afcc757cabcc0813a7d1dd9628b4c43ddbf90caf2a44ff"
     )
 
 
