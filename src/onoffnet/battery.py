@@ -56,11 +56,6 @@ class SodModel(_SodFields):
     def _make(cls, fields) -> SodModel:
         return cls(*fields)  # so that _replace validates
 
-    @property
-    def asymptotic_sod(self) -> float:
-        """State of discharge approached as active time grows without bound."""
-        return min(1.0, self.initial_sod + self.peak_current * self.tau / self.capacity)
-
 
 class BatteryState(NamedTuple):
     """Snapshot of a battery: current state of discharge and active time spent.

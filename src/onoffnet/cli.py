@@ -10,9 +10,10 @@ Subcommands::
 
 Outputs are CSV with ``#`` comment headers recording the parameters, tool
 version and random-generator identifier, so every artifact is regenerable
-from its own header.  Relative ``--out`` paths resolve under the
-``ONOFFNET_OUTDIR`` environment variable (default: current directory).
-Reruns with identical inputs produce byte-identical files.
+from its own header.  Relative ``--out`` and ``--out-dir`` paths resolve
+under the ``ONOFFNET_OUTDIR`` environment variable (default: current
+directory).  Reruns with identical inputs produce byte-identical files, and a
+command that fails removes every file it wrote.
 """
 
 from __future__ import annotations
@@ -72,9 +73,15 @@ def _resolve_out(path: str) -> Path:
     return p if p.is_absolute() else Path(base) / p
 
 
+# Every file the running command has opened; main() removes them if it fails.
+_opened: list[Path] = []
+
+
 def _open_out(path: Path) -> TextIO:
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", encoding="utf-8")
+    fh = path.open("w", encoding="utf-8")
+    _opened.append(path)
+    return fh
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -251,31 +258,21 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 def cmd_route(args: argparse.Namespace) -> None:
     config = load_scenario_config(args.config)
-    out_dir = _resolve_out(args.out_dir if args.out_dir else (config.out_dir or "."))
-    created: list[Path] = []
-    try:
-        results = []
-        for seed in config.seeds:
-            # Each event line goes to the log as it happens; none is kept.
-            log_path = out_dir / f"events_seed{seed}.log"
-            created.append(log_path)
-            with _open_out(log_path) as fh:
-                fh.write(f"{_tool_header('route')}\n# seed={seed} config={args.config}\n")
-                results.append(run_scenario(config, seed, lambda line: fh.write(line + "\n")))
-        summary = aggregate_metrics(results)
-        metrics_path = out_dir / "metrics.csv"
-        lines = [
-            _tool_header("route"),
-            f"# config={args.config} seeds={','.join(str(s) for s in config.seeds)}",
-            "metric,value",
-        ]
-        lines.extend(f"{key},{value!r}" for key, value in summary.items())
-        created.append(metrics_path)
-        _write_lines(metrics_path, lines)
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+    out_dir = _resolve_out(args.out_dir)
+    results = []
+    for seed in config.seeds:
+        # Each event line goes to the log as it happens; none is kept.
+        with _open_out(out_dir / f"events_seed{seed}.log") as fh:
+            fh.write(f"{_tool_header('route')}\n# seed={seed} config={args.config}\n")
+            results.append(run_scenario(config, seed, lambda line: fh.write(line + "\n")))
+    summary = aggregate_metrics(results)
+    lines = [
+        _tool_header("route"),
+        f"# config={args.config} seeds={','.join(str(s) for s in config.seeds)}",
+        "metric,value",
+    ]
+    lines.extend(f"{key},{value!r}" for key, value in summary.items())
+    _write_lines(out_dir / "metrics.csv", lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,20 +324,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("route", help="run a routing scenario config")
     r.add_argument("--config", required=True)
-    r.add_argument("--out-dir", help="output directory (default: config out_dir or ONOFFNET_OUTDIR)")
+    r.add_argument("--out-dir", default=".", help="output directory, resolved like --out (default: ONOFFNET_OUTDIR)")
     r.set_defaults(func=cmd_route)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _opened.clear()
     try:
         args.func(args)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        for path in _opened:  # a failed command leaves none of its files behind
+            path.unlink(missing_ok=True)
+        if not isinstance(exc, (ValueError, OSError)):
+            raise
+        invalid = "invalid config: " if isinstance(exc, ConfigError) else ""
+        print(f"error: {invalid}{exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -51,7 +51,6 @@ the two.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -69,13 +68,6 @@ _SERIES_LIMIT = 1e-2
 
 # exp() overflows just above 709; branch before feeding it such exponents.
 _EXP_OVERFLOW = 700.0
-
-
-@functools.cache
-def _gauss_rule(n: int):
-    """n-point Gauss-Legendre on [-1, 1]; built on first use, as most commands never integrate."""
-    import numpy as np
-    return np.polynomial.legendre.leggauss(n)
 
 
 # Poisson terms the exact law may sum per point, and array elements per block of that sum.
@@ -208,6 +200,18 @@ def sorted_distinct(*parts) -> np.ndarray:
     return values[keep]
 
 
+def _panel_rule(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite ``points``-point Gauss-Legendre on the panels between ``edges``.
+
+    Returns ``(nodes, weights)`` with one row per panel: ``sum(weights * f(nodes))``
+    integrates ``f`` from ``edges[0]`` to ``edges[-1]``.
+    """
+    import numpy as np
+    unit_nodes, unit_weights = np.polynomial.legendre.leggauss(points)
+    half = np.diff(edges)[:, None] / 2.0
+    return edges[:-1, None] + half * (1.0 + unit_nodes), half * unit_weights
+
+
 def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     """``E[g(T)]``, the integral of ``g(theta) * f(theta)`` over ``[0, t]``.
 
@@ -223,9 +227,7 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
     edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
     cuts = [t - b if x > 0.0 else b for b in breakpoints if 0.0 < b < t]
     edges = sorted_distinct(edges, cuts, [t])
-    nodes, weights = _gauss_rule(32)
-    half = np.diff(edges)[:, None] / 2.0
-    depth = edges[:-1, None] + half * (1.0 + nodes)
+    depth, weight = _panel_rule(edges, 32)
     if rate * t < _LIMIT_EPS:
         density = 1.0 / t
     else:
@@ -233,7 +235,7 @@ def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
         with np.errstate(over="ignore"):
             density = rate * np.exp(-rate * depth) / -math.expm1(-rate * t)
     theta = t - depth if x > 0.0 else depth
-    return float(np.sum(half * weights * density * g(theta)))
+    return float(np.sum(weight * density * g(theta)))
 
 
 def density_curve(spec: OccupancySpec, n_points: int) -> tuple[list[float], list[float]]:
@@ -388,12 +390,10 @@ def exact_occupation_distribution(
     edges = np.concatenate([[0.0], (np.arange(n // 2) + 0.5) * h, [t / 2.0]])
     rate = max(lam, mu)
     panels = sorted_distinct(edges, doubling_edges(1.0 / rate, t / 2.0)) if rate * t > 1.0 else edges
-    nodes, weights = _gauss_rule(12)
-    half = np.diff(panels)[:, None] / 2.0
-    near = (panels[:-1, None] + half * (1.0 + nodes)).ravel()
+    near, weight = _panel_rule(panels, 12)
+    cell = np.repeat(np.searchsorted(edges, panels[:-1], side="right") - 1, near.shape[1])
+    near, weight = near.ravel(), weight.ravel()
     far = t - near
-    weight = (half * weights).ravel()
-    cell = np.repeat(np.searchsorted(edges, panels[:-1], side="right") - 1, nodes.size)
     pmf = np.bincount(cell, weight * _on_start_density(lam, mu, near, far), n + 1)
     pmf += np.bincount(n - cell, weight * _on_start_density(lam, mu, far, near), n + 1)
     pmf[n] += math.exp(-lam * t)

@@ -77,7 +77,6 @@ class ScenarioConfig(NamedTuple):
     horizon: float
     seeds: tuple[int, ...]
     queries: tuple[tuple[str, str], ...] = ()
-    out_dir: str | None = None
 
 
 class ScenarioResult(NamedTuple):
@@ -155,14 +154,13 @@ _FORMAT: dict[str, dict[str, Callable] | None] = {
         "beta": partial(_ranged, lambda v: v >= 0, "be finite and >= 0"),
         "exhaust_threshold": partial(_ranged, lambda v: 0 <= v < 1, "lie in [0, 1)"),
         "seeds": _parse_seeds,
-        "out_dir": str,
     },
     "codec": {"d_min": float, "d_max": float, "slots": int},
     "nodes": None,
     "links": {"pairs": partial(_read_pairs, "-", "A-B", "self-link")},
     "queries": {"routes": partial(_read_pairs, ":", "SRC:DST", "src and dst coincide in")},
 }
-_OPTIONAL = ("queries", "out_dir", "routes")
+_OPTIONAL = ("queries", "routes")
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
@@ -220,7 +218,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             codec = HelloCodec(values["d_min"], values["d_max"], values["slots"])
         except ValueError as exc:
             errors.append(f"codec: {exc}")
-    # run_scenario counts int(horizon / hello_period) rounds.
+    # run_scenario counts floor(horizon / hello_period + 1e-9) rounds.
     if {"horizon", "hello_period"} <= values.keys() and math.isinf(values["horizon"] / values["hello_period"]):
         errors.append(f"scenario.hello_period: horizon / hello_period overflows, got {values['hello_period']}")
 
@@ -237,7 +235,6 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         horizon=values["horizon"],
         seeds=values["seeds"],
         queries=values.get("routes", ()),
-        out_dir=values.get("out_dir"),
     )
 
 
@@ -295,8 +292,7 @@ def run_scenario(
     node_ids = sorted(config.nodes)
     codec = config.codec
     n_rounds = int(math.floor(config.horizon / config.hello_period + 1e-9))
-    paths = _node_paths(config, seed, n_rounds)
-    residual, dying = next(paths)  # each node's latest residual; a dead node keeps its last
+    residual: dict[str, float] = {}  # each node's latest residual; a dead node keeps its last
     tables: dict[str, EnergyTable] = {nid: EnergyTable() for nid in node_ids}
     graph = NetworkGraph(frozenset(node_ids), config.links)
     beacon: dict[int, tuple[str, float, str]] = {}  # slot -> (delay repr, energy, energy repr)
@@ -312,20 +308,16 @@ def run_scenario(
     error_sum = 0.0
     error_count = 0
 
-    def bury(stamp: str, dying: list[tuple[str, float, float]]) -> list[str]:
-        nonlocal graph
-        for nid, sod, active_time in dying:
-            graph = graph.drop_node(nid)
-            emit(f"{stamp},death,{nid},sod={sod!r};active_time={active_time!r}")
-        return sorted(graph.nodes)
-
-    alive = bury(repr(0.0), dying)
-    for round_index, (round_residual, dying) in enumerate(paths, start=1):
+    for round_index, (round_residual, dying) in enumerate(_node_paths(config, seed, n_rounds)):
         now = round_index * config.hello_period
         stamp = repr(now)
         residual.update(round_residual)
-        if dying:
-            alive = bury(stamp, dying)
+        for nid, sod, active_time in dying:
+            graph = graph.drop_node(nid)
+            emit(f"{stamp},death,{nid},sod={sod!r};active_time={active_time!r}")
+        if not round_index:  # round 0 only logs the nodes that start exhausted
+            continue
+        alive = sorted(graph.nodes)
 
         # HELLO beacons, slotted by residual energy; a slot's delay and
         # decoded energy are worked out the first time it is sent, and its

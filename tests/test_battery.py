@@ -88,10 +88,8 @@ def test_sod_frozen_value_matches_quadrature():
 
 def test_sod_asymptote():
     assert sod_continuous(MODEL, 1e9) == pytest.approx(0.5, rel=1e-15)
-    assert MODEL.asymptotic_sod == 0.5
     hungry = SodModel(2.0, 3.0, 1.0)  # asymptote would be 6, saturates at 1
     assert sod_continuous(hungry, 1e9) == 1.0
-    assert hungry.asymptotic_sod == 1.0
 
 
 def test_sod_monotone_and_capped():

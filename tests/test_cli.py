@@ -675,6 +675,31 @@ def test_route_failure_leaves_no_partial_log(tmp_path, monkeypatch):
     assert not (tmp_path / "r" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "activity",
+    [["--lambda", "1", "--mu", "2", "--seed", "7", "--horizon", "10"], ["--segments", "ON:1,OFF:2,ON:1"]],
+    ids=["sampled", "scripted"],
+)
+def test_discharge_failure_leaves_no_first_file(tmp_path, activity):
+    # The trace is written, then the segments file cannot be: its directory
+    # is a regular file.  The command fails and removes the trace it wrote.
+    (tmp_path / "blocker").write_text("")
+    args = ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", *activity,
+            "--out", "sampled.csv", "--trajectory-out", "blocker/segs.csv"]
+    proc = run_cli(args, tmp_path, check=False)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+def test_route_writes_under_outdir_by_default(tmp_path):
+    # Without --out-dir, route writes straight into ONOFFNET_OUTDIR.
+    proc = run_cli(["route", "--config", str(DIAMOND)], tmp_path)
+    assert proc.stdout == proc.stderr == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events_seed42.log", "metrics.csv"]
+    assert "delivered_routes,4.0" in (tmp_path / "metrics.csv").read_text()
+
+
 def test_route_memory_does_not_grow_with_seeds(tmp_path):
     # Event lines are written as they happen, so the traced peak of a 4-seed
     # route stays near that of one seed instead of holding every seed's log.

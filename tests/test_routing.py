@@ -463,7 +463,6 @@ VALUE_TYPES = (
             "horizon": 40.0,
             "seeds": (1,),
             "queries": (("A", "B"),),
-            "out_dir": None,
         },
         None,
     ),

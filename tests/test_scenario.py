@@ -143,15 +143,17 @@ def test_config_rejects_unknown_section(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    # Keys outside the format (here a second seed spelling and a codec full
-    # scale) refuse the file, each by name, rather than being ignored.
-    text = PAIR_TEMPLATE.replace("seeds = 3", "seeds = 3\nseed = 10\nreplications = 3")
+    # Keys outside the format (here a second seed spelling, a second spelling
+    # of route --out-dir and a codec full scale) refuse the file, each by
+    # name, rather than being ignored.
+    text = PAIR_TEMPLATE.replace("seeds = 3", "seeds = 3\nseed = 10\nreplications = 3\nout_dir = runs")
     path = write_config(tmp_path, text.replace("slots = 21", "slots = 21\ne_full = 0.5"))
     with pytest.raises(ConfigError) as excinfo:
         load_scenario_config(path)
     assert excinfo.value.errors == [
         "scenario.seed: unknown key",
         "scenario.replications: unknown key",
+        "scenario.out_dir: unknown key",
         "codec.e_full: unknown key",
     ]
 
@@ -159,7 +161,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 # Every key of the format, with bad values for it and the prefix each error
 # takes: the key's own name, or `codec` where the bounds and the slot count
 # parsed but HelloCodec refused them.  A key with no bad value takes any text.
-FORMAT_TEMPLATE = PAIR_TEMPLATE.replace("seeds = 3", "seeds = 3\nout_dir = runs") + "\n[queries]\nroutes = A:B\n"
+FORMAT_TEMPLATE = PAIR_TEMPLATE + "\n[queries]\nroutes = A:B\n"
 FORMAT_KEYS = [
     ("scenario.horizon", ["ten", "0", "-1", "nan", "inf"]),
     ("scenario.hello_period", ["ten", "0", "-2", "nan", "inf"]),
@@ -167,14 +169,13 @@ FORMAT_KEYS = [
     ("scenario.beta", ["ten", "-0.5", "nan", "inf"]),
     ("scenario.exhaust_threshold", ["ten", "-0.1", "1", "nan"]),
     ("scenario.seeds", ["ten", "", "3 3", "3 -1", "2.5"]),
-    ("scenario.out_dir", []),
     ("codec.d_min", ["ten", ("nan", "codec:"), ("1.0", "codec:")]),
     ("codec.d_max", ["ten", ("inf", "codec:"), ("0.0", "codec:")]),
     ("codec.slots", ["ten", "2.5", ("1", "codec:")]),
     ("links.pairs", ["A", "A-", "-B", "A:B", "A-A", "A-Z"]),
     ("queries.routes", ["A", "A:", ":B", "A-B", "A:A", "A:Z"]),
 ]
-OPTIONAL_KEYS = {"scenario.out_dir": None, "queries.routes": ()}
+OPTIONAL_KEYS = {"queries.routes": ()}
 
 
 @pytest.mark.parametrize("key,bad_values", FORMAT_KEYS, ids=[key for key, _ in FORMAT_KEYS])
