@@ -80,9 +80,9 @@ class Trajectory:
     Construction validates the tiling (first start 0, contiguous starts, total
     duration equal to the horizon within ``1e-12`` relative), strict state
     alternation and strictly positive durations.  ``on_time_before[i]`` is
-    the ON time accrued before segment ``i``: each ON segment adds
-    ``(start + duration) - start``, left to right.  Trajectories compare by
-    horizon and segments.
+    the ON time accrued before segment ``i``, and its last entry the total:
+    each ON segment adds its duration, left to right, as ``_path`` adds.
+    Trajectories compare by horizon and segments.
     """
 
     __slots__ = ("horizon", "segments", "on_time_before")
@@ -108,12 +108,12 @@ class Trajectory:
             on_time_before.append(on_time)
             expected_start = seg.start + seg.duration
             if seg.state is NodeState.ON:
-                on_time += expected_start - seg.start
+                on_time += seg.duration
         if not abs(expected_start - horizon) <= tol:
             raise ValueError("segments do not tile the horizon")
         self.horizon = horizon
         self.segments = segments
-        self.on_time_before = tuple(on_time_before)
+        self.on_time_before = (*on_time_before, on_time)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
@@ -204,17 +204,8 @@ def sample_trajectory(
 
 
 def total_on_time(traj: Trajectory) -> float:
-    """Total duration spent ON; in ``[0, horizon]``.
-
-    Added left to right in a plain loop, as ``_path`` adds, because ``sum()``
-    compensates rounding from Python 3.12 on and would make the result
-    depend on the interpreter version.
-    """
-    on_time = 0.0
-    for seg in traj.segments:
-        if seg.state is NodeState.ON:
-            on_time += seg.duration
-    return on_time
+    """Total duration spent ON; in ``[0, horizon]``.  The last entry of ``traj.on_time_before``."""
+    return traj.on_time_before[-1]
 
 
 def monte_carlo_on_times(

@@ -111,10 +111,10 @@ def active_time_at(traj: Trajectory, wall_time: float) -> float:
     """Cumulative ON time accrued by wall-clock ``wall_time`` within the trajectory.
 
     Bisects for the last segment starting before ``wall_time`` and adds its
-    overlap to the ON time accrued before it; O(log segments).  When every
-    start is the previous start plus its duration, as in sampled and scripted
-    trajectories, this is bit for bit the left-to-right sum of each ON
-    segment's overlap with ``[0, wall_time]``.
+    overlap to the ON time accrued before it; O(log segments).  An ON segment
+    that has ended by ``wall_time`` adds its whole duration, so the result
+    reads ``traj.on_time_before`` at every segment end, and at the horizon it
+    is ``total_on_time(traj)`` bit for bit.
     """
     if not 0.0 <= wall_time <= traj.horizon:
         raise ValueError(f"wall_time must lie in [0, {traj.horizon}]")
@@ -124,7 +124,7 @@ def active_time_at(traj: Trajectory, wall_time: float) -> float:
     seg = traj.segments[i]
     active = traj.on_time_before[i]
     if seg.state is NodeState.ON:
-        active += min(wall_time, seg.start + seg.duration) - seg.start
+        active += seg.duration if wall_time >= seg.start + seg.duration else wall_time - seg.start
     return active
 
 

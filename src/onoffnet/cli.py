@@ -103,9 +103,7 @@ def cmd_density(args: argparse.Namespace) -> None:
     if args.x is not None:
         if args.lam is not None or args.mu is not None:
             raise ValueError("give either --x or --lambda/--mu, not both")
-        xs = [float(tok) for tok in args.x.split(",") if tok]
-        if not xs:
-            raise ValueError("--x needs at least one value")
+        xs = [float(tok) for tok in args.x.split(",")]
         specs = [_spec_for_gap(x, args.horizon) for x in xs]
         header = [
             f"# horizon={args.horizon!r} points={args.points} xs={','.join(repr(x) for x in xs)}",

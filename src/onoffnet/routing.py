@@ -33,7 +33,8 @@ class HelloCodec(_CodecFields):
     evenly spaced send delays in ``[d_min, d_max]``, high energy giving a
     late beacon (direct proportion; flipping the bounds yields the inverse
     convention, a config change rather than a code change).  ``slots`` is an
-    integer (numpy integers are taken as ``int``).
+    integer (numpy integers are taken as ``int``) from 2 to ``2**53 + 1``,
+    so that every slot index and ``slots - 1`` is an exact float.
     """
 
     __slots__ = ()
@@ -49,6 +50,8 @@ class HelloCodec(_CodecFields):
             raise ValueError(f"slots must be an integer, got {slots!r}") from None
         if count < 2:
             raise ValueError(f"slots must be >= 2, got {slots!r}")
+        if count - 1 > 2**53:
+            raise ValueError("slots must be at most 2**53 + 1")
         return super().__new__(cls, d_min, d_max, count)
 
     @classmethod

@@ -276,7 +276,7 @@ def _node_paths(
 
 
 def run_scenario(
-    config: ScenarioConfig, seed: int | None = None, log: Callable[[str], object] | None = None
+    config: ScenarioConfig, seed: int, log: Callable[[str], object] | None = None
 ) -> ScenarioResult:
     """Run one replication; returns its summary metrics and, without ``log``, its event log.
 
@@ -287,8 +287,6 @@ def run_scenario(
     ``events`` is then empty.  Without ``log`` the lines are collected into
     ``events``.
     """
-    if seed is None:
-        seed = config.seeds[0]
     node_ids = sorted(config.nodes)
     codec = config.codec
     n_rounds = int(math.floor(config.horizon / config.hello_period + 1e-9))

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from onoffnet.activity import NodeState, OnOffParams, Segment, Trajectory, sample_trajectory, total_on_time
+from onoffnet.activity import (
+    NodeState,
+    OnOffParams,
+    Segment,
+    Trajectory,
+    monte_carlo_on_times,
+    sample_trajectory,
+    total_on_time,
+)
 from onoffnet.battery import (
     BatteryState,
     SodModel,
@@ -217,27 +225,18 @@ def test_active_time_at_walks_the_plateaus():
 
 
 def active_time_oracle(traj, wall_time):
-    """Reference walk: each ON segment's overlap with ``[0, wall_time]``, added left to right."""
+    """Reference walk, left to right: an ON segment ended by ``wall_time`` adds its duration, one under way its overlap."""
     active = 0.0
     for seg in traj.segments:
         if seg.state is NodeState.ON:
-            overlap = min(wall_time, seg.start + seg.duration) - seg.start
-            if overlap > 0.0:
-                active += overlap
+            if wall_time >= seg.start + seg.duration:
+                active += seg.duration
+            elif wall_time > seg.start:
+                active += wall_time - seg.start
     return active
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    first=st.sampled_from(NodeState),
-    durations=st.lists(
-        st.floats(min_value=1e-9, max_value=50.0, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=40,
-    ),
-)
-def test_active_time_at_equals_segment_walk(data, first, durations):
+def scripted_trajectory(first, durations):
     # Starts telescope, as in every trajectory sample_trajectory and
     # --segments build: each start is the previous start plus its duration.
     segments = []
@@ -247,11 +246,52 @@ def test_active_time_at_equals_segment_walk(data, first, durations):
         segments.append(Segment(state, start, duration))
         start += duration
         state = NodeState.OFF if state is NodeState.ON else NodeState.ON
-    traj = Trajectory(start, tuple(segments))
+    return Trajectory(start, tuple(segments))
+
+
+SCRIPTS = {
+    "first": st.sampled_from(NodeState),
+    "durations": st.lists(
+        st.floats(min_value=1e-9, max_value=50.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), **SCRIPTS)
+def test_active_time_at_equals_segment_walk(data, first, durations):
+    traj = scripted_trajectory(first, durations)
+    segments, horizon = traj.segments, traj.horizon
     edges = [seg.start for seg in segments] + [seg.start + seg.duration for seg in segments]
-    inside = data.draw(st.lists(st.floats(min_value=0.0, max_value=start), max_size=20))
-    for wall_time in [w for w in edges if w <= start] + inside:
+    inside = data.draw(st.lists(st.floats(min_value=0.0, max_value=horizon), max_size=20))
+    for wall_time in [w for w in edges if w <= horizon] + inside:
         assert active_time_at(traj, wall_time) == active_time_oracle(traj, wall_time)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**SCRIPTS)
+def test_active_time_at_horizon_is_total_on_time_scripted(first, durations):
+    # One ledger: the whole trace's active time is the total, bit for bit,
+    # and that total is the left-to-right sum of the ON durations.
+    traj = scripted_trajectory(first, durations)
+    on = 0.0
+    for seg in traj.segments:
+        if seg.state is NodeState.ON:
+            on += seg.duration
+    assert active_time_at(traj, traj.horizon) == total_on_time(traj) == on
+
+
+def test_active_time_at_horizon_is_total_on_time_sampled():
+    # Adding each finished ON segment as (start + duration) - start instead
+    # ends 182 of these 200 traces one or more ulps away from the total.
+    params = OnOffParams(1.0, 2.0)
+    for seed in range(200):
+        traj = sample_trajectory(params, NodeState.ON, 500.0, seed)
+        total = total_on_time(traj)
+        assert active_time_at(traj, 500.0) == total
+        assert monte_carlo_on_times(params, NodeState.ON, 500.0, 1, seed)[0] == total
 
 
 def test_active_time_at_equals_segment_walk_on_a_long_sampled_trace():

@@ -308,6 +308,15 @@ def test_density_rejects_conflicting_flags(tmp_path):
     assert not (tmp_path / "x.csv").exists()  # rejected before any write
 
 
+@pytest.mark.parametrize("xs", ["0.4,,0.6", ","], ids=["empty-token", "only-empty"])
+def test_density_rejects_empty_x_token(tmp_path, xs):
+    # Every --x token is a number, as every --params token is: none is dropped.
+    proc = run_cli(["density", "--x", xs, "--horizon", "1.0", "--out", "x.csv"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- mean curve -----------------------------------------------------------------
 
 
@@ -379,6 +388,29 @@ def test_discharge_scripted_trajectory_column_states(tmp_path):
     assert lines[3] == "1,OFF,1.0,2.0"
 
 
+@pytest.mark.parametrize(
+    "activity",
+    [["--lambda", "1", "--mu", "2", "--seed", "1", "--horizon", "500", "--points", "500"],
+     ["--segments", "ON:0.1,OFF:0.2,ON:0.3,OFF:0.7,ON:0.1"]],
+    ids=["sampled", "scripted"],
+)
+def test_discharge_last_active_time_is_segment_sum(tmp_path, activity):
+    # The trace's last active_time is the left-to-right sum of the ON
+    # durations it wrote to --trajectory-out, bit for bit.
+    run_cli(
+        ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", *activity,
+         "--out", "trace.csv", "--trajectory-out", "segs.csv"],
+        tmp_path,
+    )
+    on_time = 0.0
+    for line in (tmp_path / "segs.csv").read_text().splitlines()[2:]:
+        _, state, _, duration = line.split(",")
+        if state == "ON":
+            on_time += float(duration)
+    last = (tmp_path / "trace.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[2]) == on_time
+
+
 def test_discharge_modulated_final_sod_matches_continuous(tmp_path):
     run_cli(
         ["discharge", "--k", "1", "--tau", "2", "--capacity", "4",
@@ -400,7 +432,7 @@ def test_discharge_modulated_final_sod_matches_continuous(tmp_path):
 @pytest.mark.parametrize(
     "lam,segments,digests",
     [
-        ("1", 702, ("f352f3e297545ebdc5e17953c99c6ee33fc3a5b961af94e6ce7e4770265efe2c",
+        ("1", 702, ("3f24279aeb3c8d1a24c723557de1030ef354a932e1cc290a672fb48a6ecfac21",
                     "b8de140cb1bdccf584470aff03ed528281a17c0df83f6246e2b17fe0d6b9cd4c")),
         ("0", 1, ("a7233fb19fd337deb0598cda37496ef87ee6c1165bc82c78593ffe2c8995a569",
                   "528a9a661680b03aff8f07da39e0c7643ca6e3cc6ee37917f1c05258b00ac111")),
@@ -618,6 +650,18 @@ def test_readme_config_example_loads(tmp_path):
 
 
 # --- route ------------------------------------------------------------------------
+
+
+def test_route_refuses_oversized_codec_slots(tmp_path):
+    # A slot count beyond 2**53 + 1 has no exact float slot indices: one
+    # diagnostic line, no traceback, nothing written.
+    config = tmp_path / "slots.cfg"
+    config.write_text(DIAMOND.read_text().replace("slots = 21", "slots = " + "9" * 400))
+    proc = run_cli(["route", "--config", str(config), "--out-dir", "r"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: invalid config: codec: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["slots.cfg"]
 
 
 def test_route_writes_logs_and_metrics(tmp_path):

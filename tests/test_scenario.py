@@ -233,7 +233,7 @@ def test_decoded_energy_tracks_true_residual(tmp_path):
     # Constant-ON pair: at every round the decoded neighbour energy sits
     # within half a quantisation slot of the true residual at that instant.
     cfg = load_scenario_config(write_config(tmp_path, PAIR_TEMPLATE))
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, cfg.seeds[0])
     model_b = cfg.nodes["B"].model
     half_slot = 1.0 / (2 * (cfg.codec.slots - 1))
     table_events = [e for e in result.events if ",table,A," in e]
@@ -279,7 +279,7 @@ routes = A:C
     )
     cfg = load_scenario_config(path)
     assert sod_continuous(cfg.nodes["B"].model, 4.0) == 1.0  # saturates by round 2
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, cfg.seeds[0])
     routes = [e for e in result.events if ",route,A," in e]
     assert len(routes) == 3
     assert "path=A>B>C" in routes[0]
@@ -329,7 +329,7 @@ def test_output_lock(tmp_path):
     # route selection must leave both digests unchanged.  B never leaves ON
     # (lambda=0), so its death, and the routes it cuts, do not depend on the
     # bit stream.
-    result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
+    result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)), 11)
     events = "\n".join(result.events)
     assert "6.0,death,B," in events
     assert ",collision,E,slot=12;senders=C|D" in events
@@ -396,7 +396,7 @@ def test_network_output_lock(tmp_path):
     # exercise every branch of the per-node sampling: rate-0 states, deaths
     # at t=0 and mid-run, collisions, and stale-but-fresh records of dead
     # neighbours.
-    result = run_scenario(load_scenario_config(write_config(tmp_path, network_lock_config())))
+    result = run_scenario(load_scenario_config(write_config(tmp_path, network_lock_config())), 5)
     events = "\n".join(result.events)
     assert "0.0,death,N00,sod=0.97;active_time=0.0" in events
     assert ",collision," in events
@@ -437,7 +437,7 @@ def test_fresh_records_are_selected_once_per_alive_node_per_round(tmp_path, monk
         return fresh(self, now, staleness)
 
     monkeypatch.setattr(EnergyTable, "fresh", counted)
-    result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
+    result = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)), 11)
     assert result.metrics["route_queries"] == 12.0
     assert len(calls) == result.metrics["hello_sent"] == 2 * 6 + 4 * 5
     assert calls == sorted(calls)
@@ -450,8 +450,8 @@ def test_node_draws_do_not_depend_on_other_deaths(tmp_path):
         "A = k=0.001 tau=100 capacity=10 ", "A = k=0.001 tau=100 capacity=0.001 "
     )
     assert drained != LOCK_CONFIG
-    base = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)))
-    changed = run_scenario(load_scenario_config(write_config(tmp_path, drained)))
+    base = run_scenario(load_scenario_config(write_config(tmp_path, LOCK_CONFIG)), 11)
+    changed = run_scenario(load_scenario_config(write_config(tmp_path, drained)), 11)
     assert not any(",death,A," in e for e in base.events)
     assert any(e.startswith("2.0,death,A,") for e in changed.events)
     for nid in "CDEF":
@@ -464,7 +464,7 @@ def test_period_longer_than_horizon_yields_nothing(tmp_path):
     cfg = load_scenario_config(
         write_config(tmp_path, PAIR_TEMPLATE.replace("hello_period = 2", "hello_period = 50"))
     )
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, cfg.seeds[0])
     assert result.events == ()
     assert result.metrics["rounds"] == 0.0
     assert result.metrics["hello_sent"] == 0.0
@@ -500,7 +500,7 @@ C = k=0.0001 tau=100 capacity=100 f_init=0.2 lambda=0.0 mu=1.0
 pairs = A-C B-C
 """,
     )
-    result = run_scenario(load_scenario_config(path))
+    result = run_scenario(load_scenario_config(path), 5)
     collisions = [e for e in result.events if ",collision,C," in e]
     assert len(collisions) == 2  # one per round
     assert "senders=A|B" in collisions[0]
