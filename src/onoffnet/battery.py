@@ -113,8 +113,10 @@ def active_time_at(traj: Trajectory, wall_time: float) -> float:
     Bisects for the last segment starting before ``wall_time`` and adds its
     overlap to the ON time accrued before it; O(log segments).  An ON segment
     that has ended by ``wall_time`` adds its whole duration, so the result
-    reads ``traj.on_time_before`` at every segment end, and at the horizon it
-    is ``total_on_time(traj)`` bit for bit.
+    reads ``traj.on_time_before`` at every segment end.  At the horizon it is
+    ``total_on_time(traj)`` bit for bit when the last segment's duration is
+    ``horizon - start`` or its end does not pass the horizon, as in every
+    trajectory that ``sample_trajectory`` and ``discharge --segments`` build.
     """
     if not 0.0 <= wall_time <= traj.horizon:
         raise ValueError(f"wall_time must lie in [0, {traj.horizon}]")

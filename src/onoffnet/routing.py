@@ -33,8 +33,9 @@ class HelloCodec(_CodecFields):
     evenly spaced send delays in ``[d_min, d_max]``, high energy giving a
     late beacon (direct proportion; flipping the bounds yields the inverse
     convention, a config change rather than a code change).  ``slots`` is an
-    integer (numpy integers are taken as ``int``) from 2 to ``2**53 + 1``,
-    so that every slot index and ``slots - 1`` is an exact float.
+    integer (numpy integers are taken as ``int``) from 2 to ``2**52 + 1``.
+    Past it the floats near the top slot are all integers, and the ``+ 0.5``
+    that rounds to a slot ties half of them to the slot above.
     """
 
     __slots__ = ()
@@ -50,8 +51,8 @@ class HelloCodec(_CodecFields):
             raise ValueError(f"slots must be an integer, got {slots!r}") from None
         if count < 2:
             raise ValueError(f"slots must be >= 2, got {slots!r}")
-        if count - 1 > 2**53:
-            raise ValueError("slots must be at most 2**53 + 1")
+        if count - 1 > 2**52:
+            raise ValueError("slots must be at most 2**52 + 1")
         return super().__new__(cls, d_min, d_max, count)
 
     @classmethod

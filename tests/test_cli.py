@@ -653,7 +653,7 @@ def test_readme_config_example_loads(tmp_path):
 
 
 def test_route_refuses_oversized_codec_slots(tmp_path):
-    # A slot count beyond 2**53 + 1 has no exact float slot indices: one
+    # A slot count beyond 2**52 + 1 cannot round to the nearest slot: one
     # diagnostic line, no traceback, nothing written.
     config = tmp_path / "slots.cfg"
     config.write_text(DIAMOND.read_text().replace("slots = 21", "slots = " + "9" * 400))

@@ -90,10 +90,12 @@ def test_codec_validation():
         with pytest.raises(ValueError, match="slots must be an integer"):
             HelloCodec(0.0, 1.0, bad)
     assert type(HelloCodec(0.0, 1.0, np.int64(3)).slots) is int
-    # Beyond 2**53 + 1 slots, slot indices and slots - 1 are no longer exact floats.
-    assert HelloCodec(0.0, 1.0, 2**53 + 1).slots == 2**53 + 1
-    for bad in (2**53 + 2, 10**400):
-        with pytest.raises(ValueError, match=r"slots must be at most 2\*\*53 \+ 1"):
+    # Up to 2**52 + 1 slots, x + 0.5 still rounds x to its nearest slot; past
+    # it an odd slot index x + 0.5 ties to the even slot above.
+    top = HelloCodec(0.0, 1.0, 2**52 + 1)
+    assert encode_slot(top, 1.0 - 2.0**-52) == 2**52 - 1
+    for bad in (2**52 + 2, 2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match=r"slots must be at most 2\*\*52 \+ 1"):
             HelloCodec(0.0, 1.0, bad)
 
 
