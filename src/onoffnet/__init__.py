@@ -15,8 +15,7 @@ _SUBMODULE_NAMES = {
     ),
     "battery": (
         "BatteryState", "SodModel", "active_time_at", "advance",
-        "discharge_current", "expected_consumed_fraction", "predict_lifetime",
-        "sod_continuous", "sod_modulated",
+        "discharge_current", "predict_lifetime", "sod_continuous", "sod_modulated",
     ),
     "occupancy": (
         "OccupancySpec", "OccupationLaw", "closed_form_gap", "density_curve",

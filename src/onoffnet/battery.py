@@ -20,7 +20,6 @@ import math
 from typing import NamedTuple
 
 from .activity import NodeState, Trajectory, total_on_time
-from .occupancy import OccupancySpec, doubling_edges, quad
 
 
 class _SodFields(NamedTuple):
@@ -148,17 +147,3 @@ def predict_lifetime(model: SodModel, exhaustion_threshold: float) -> float:
         return math.inf
     return -model.tau * math.log1p(-frac)
 
-
-def expected_consumed_fraction(model: SodModel, spec: OccupancySpec) -> float:
-    """Average state of discharge at the end of the window ``[0, horizon]``.
-
-    Integrates the discharge curve against the on-time density.  The curve is
-    concave in active time, so the result is at most the curve at the mean ON
-    time, ``sod_continuous(model, mean_on_time(spec))`` (Jensen).  The
-    quadrature is cut on the current's time scale ``tau`` from 0, and at the
-    kink where the curve saturates at 1.
-    """
-    import numpy as np
-    breakpoints = [*doubling_edges(model.tau, spec.horizon), predict_lifetime(model, 1.0)]
-    sod = np.vectorize(lambda active: sod_continuous(model, active), otypes=[float])
-    return quad(spec, sod, breakpoints)

@@ -13,13 +13,14 @@ version and random-generator identifier, so every artifact is regenerable
 from its own header.  Relative ``--out`` and ``--out-dir`` paths resolve
 under the ``ONOFFNET_OUTDIR`` environment variable (default: current
 directory).  Reruns with identical inputs produce byte-identical files, and a
-command that fails removes every file it wrote.
+command that fails removes every file it wrote and every directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import math
 import os
 import sys
@@ -73,14 +74,17 @@ def _resolve_out(path: str) -> Path:
     return p if p.is_absolute() else Path(base) / p
 
 
-# Every file the running command has opened; main() removes them if it fails.
-_opened: list[Path] = []
+# Every directory and file the running command has made, in the order made;
+# main() removes them if it fails.
+_made: list[Path] = []
 
 
 def _open_out(path: Path) -> TextIO:
+    missing = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
+    _made.extend(reversed(missing))
     fh = path.open("w", encoding="utf-8")
-    _opened.append(path)
+    _made.append(path)
     return fh
 
 
@@ -166,11 +170,9 @@ def cmd_discharge(args: argparse.Namespace) -> None:
     if args.segments is not None:
         if args.lam is not None or args.mu is not None:
             raise ValueError("give either --segments or --lambda/--mu, not both")
+        if args.horizon is not None:
+            raise ValueError("--segments sets the horizon to the segment total; drop --horizon")
         traj = _scripted_trajectory(args.segments)
-        if args.horizon is not None and abs(args.horizon - traj.horizon) > 1e-9:
-            raise ValueError(
-                f"--horizon {args.horizon} conflicts with segment total {traj.horizon}"
-            )
         horizon = traj.horizon
     elif args.lam is not None or args.mu is not None:
         if args.lam is None or args.mu is None or args.horizon is None:
@@ -329,12 +331,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _opened.clear()
+    _made.clear()
     try:
         args.func(args)
     except Exception as exc:
-        for path in _opened:  # a failed command leaves none of its files behind
-            path.unlink(missing_ok=True)
+        # A failed command leaves none of its files behind, nor the directories
+        # it made for them: last made first, and a directory only once empty.
+        for path in reversed(_made):
+            if not path.is_dir():
+                path.unlink(missing_ok=True)
+            elif not any(path.iterdir()):
+                path.rmdir()
         if not isinstance(exc, (ValueError, OSError)):
             raise
         invalid = "invalid config: " if isinstance(exc, ConfigError) else ""

@@ -212,22 +212,20 @@ def _panel_rule(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]
     return edges[:-1, None] + half * (1.0 + unit_nodes), half * unit_weights
 
 
-def quad(spec: OccupancySpec, g, breakpoints=()) -> float:
+def quad(spec: OccupancySpec, g) -> float:
     """``E[g(T)]``, the integral of ``g(theta) * f(theta)`` over ``[0, t]``.
 
     ``g`` maps an array of ON times to an array.  Composite 32-point
     Gauss-Legendre on panels of widths ``1/|x|, 2/|x|, 4/|x|, ...`` from the
     end where the density peaks resolves its spike however large ``|x|*t``
-    grows (one panel when ``|x|*t <= 1``); ``breakpoints`` cut them further.
+    grows (one panel when ``|x|*t <= 1``).
     """
     import numpy as np
     t, x = spec.horizon, spec.rate_gap
     rate = abs(x)
     # Work in the depth below the peak end, so no digits go to t - depth there.
     edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
-    cuts = [t - b if x > 0.0 else b for b in breakpoints if 0.0 < b < t]
-    edges = sorted_distinct(edges, cuts, [t])
-    depth, weight = _panel_rule(edges, 32)
+    depth, weight = _panel_rule(np.append(edges, t), 32)
     if rate * t < _LIMIT_EPS:
         density = 1.0 / t
     else:

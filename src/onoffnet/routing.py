@@ -82,9 +82,7 @@ def decode_energy(codec: HelloCodec, delay: float) -> float:
     """Invert a HELLO delay to the nearest representable residual energy."""
     if not codec.d_min <= delay <= codec.d_max:
         raise ValueError(f"delay must lie in [{codec.d_min}, {codec.d_max}], got {delay!r}")
-    slot = int((delay - codec.d_min) / (codec.d_max - codec.d_min) * (codec.slots - 1) + 0.5)
-    slot = min(slot, codec.slots - 1)
-    return slot / (codec.slots - 1)
+    return encode_slot(codec, (delay - codec.d_min) / (codec.d_max - codec.d_min)) / (codec.slots - 1)
 
 
 def collision_probability(codec: HelloCodec, n_nodes: int) -> float:

@@ -23,12 +23,11 @@ from onoffnet.battery import (
     active_time_at,
     advance,
     discharge_current,
-    expected_consumed_fraction,
     predict_lifetime,
     sod_continuous,
     sod_modulated,
 )
-from onoffnet.occupancy import OccupancySpec, mean_on_time, on_time_cdf, on_time_density
+from onoffnet.occupancy import OccupancySpec, on_time_cdf, on_time_density
 
 
 MODEL = SodModel(peak_current=1.0, tau=2.0, capacity=4.0)
@@ -351,48 +350,3 @@ def test_lifetime_rejects_threshold_outside_range():
     with pytest.raises(ValueError):
         predict_lifetime(model, 1.1)
 
-
-# --- expected consumption ----------------------------------------------------------
-
-
-def test_expected_consumption_uniform_law():
-    # lam == mu makes the on-time law uniform: the expectation is the plain
-    # average of the discharge curve over the window.
-    spec = OccupancySpec(OnOffParams(1.0, 1.0), 4.0)
-    result = expected_consumed_fraction(MODEL, spec)
-    average, _ = quad(lambda th: sod_continuous(MODEL, th) / 4.0, 0.0, 4.0,
-                      epsabs=1e-12, epsrel=1e-12)
-    assert result == pytest.approx(average, abs=1e-9)
-
-
-def test_expected_consumption_frozen_value():
-    spec = OccupancySpec(OnOffParams(0.0, 1.0), 1.0)
-    result = expected_consumed_fraction(MODEL, spec)
-    assert result == pytest.approx(0.12245933120185456, rel=1e-9)
-
-
-@pytest.mark.parametrize("lam,mu,t", [(0.0, 1.0, 1.0), (1.0, 1.0, 4.0), (0.5, 2.0, 10.0), (3.0, 0.1, 0.5)])
-def test_expected_consumption_obeys_jensen(lam, mu, t):
-    # sod_continuous is concave in active time, so E[f(T)] <= f(E[T]).
-    spec = OccupancySpec(OnOffParams(lam, mu), t)
-    result = expected_consumed_fraction(MODEL, spec)
-    assert result <= sod_continuous(MODEL, mean_on_time(spec)) + 1e-12
-
-
-def test_expected_consumption_resolves_spike_of_huge_rate_gap():
-    # lam=0, mu=1e4, t=3: T lies within about 1e-4 of t almost surely, so the
-    # answer is close to sod_continuous(MODEL, 3) = 0.3884.  QUADPACK on
-    # [0, t] in one piece misses the spike and returns about 1e-13; the oracle
-    # splits at t - 50/x so that its second piece holds the spike, and writes
-    # the density out by hand.
-    x, t = 1e4, 3.0
-    result = expected_consumed_fraction(MODEL, OccupancySpec(OnOffParams(0.0, x), t))
-
-    def integrand(theta):
-        return sod_continuous(MODEL, theta) * x * math.exp(x * (theta - t)) / -math.expm1(-x * t)
-
-    split = t - 50.0 / x
-    below, _ = quad(integrand, 0.0, split, epsabs=1e-14, epsrel=1e-13, limit=200)
-    spike, _ = quad(integrand, split, t, epsabs=1e-14, epsrel=1e-13, limit=200)
-    assert result == pytest.approx(below + spike, rel=1e-9)
-    assert result == pytest.approx(sod_continuous(MODEL, t), rel=1e-4)

@@ -170,7 +170,13 @@ def test_package_import_is_lazy(tmp_path):
         "except AttributeError:\n"
         "    print('AttributeError')\n"
     )
-    assert run_python(code, tmp_path).splitlines() == ["False", "43 43", "AttributeError"]
+    assert run_python(code, tmp_path).splitlines() == ["False", "42 42", "AttributeError"]
+
+
+def test_battery_import_loads_neither_occupancy_nor_numpy(tmp_path):
+    # The battery model depends on the activity module alone.
+    code = "import sys, onoffnet.battery\nprint('onoffnet.occupancy' in sys.modules, 'numpy' in sys.modules)\n"
+    assert run_python(code, tmp_path) == "False False"
 
 
 def test_cli_starts_no_blas_pool(tmp_path):
@@ -455,14 +461,18 @@ def test_sampled_trace_lock(tmp_path, lam, segments, digests):
 
 
 def test_discharge_rejects_horizon_conflict(tmp_path):
+    # The segment total is the scripted horizon; --horizon is refused even
+    # where it matches that total.
     proc = run_cli(
         ["discharge", "--k", "1", "--tau", "2", "--capacity", "4",
-         "--segments", "ON:1,OFF:1", "--horizon", "5", "--out", "x.csv"],
+         "--segments", "ON:1,OFF:1", "--horizon", "2", "--out", "x.csv"],
         tmp_path,
         check=False,
     )
     assert proc.returncode == 1
-    assert "conflicts" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "--horizon" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -734,6 +744,28 @@ def test_discharge_failure_leaves_no_first_file(tmp_path, activity):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+def test_discharge_failure_leaves_no_directory_it_made(tmp_path):
+    # The trace's directory is made for it; the segments file then cannot be
+    # written.  The command removes the trace and the emptied directories.
+    (tmp_path / "blocker").write_text("")
+    args = ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--segments", "ON:1,OFF:2,ON:1",
+            "--out", "newdir/sub/x.csv", "--trajectory-out", "blocker/segs.csv"]
+    proc = run_cli(args, tmp_path, check=False)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+def test_discharge_failure_keeps_a_directory_it_did_not_make(tmp_path):
+    (tmp_path / "blocker").write_text("")
+    (tmp_path / "kept").mkdir()
+    args = ["discharge", "--k", "1", "--tau", "2", "--capacity", "4", "--segments", "ON:1",
+            "--out", "kept/x.csv", "--trajectory-out", "blocker/segs.csv"]
+    assert run_cli(args, tmp_path, check=False).returncode == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_route_writes_under_outdir_by_default(tmp_path):

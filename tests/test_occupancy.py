@@ -292,18 +292,6 @@ def test_uniform_grid_is_linspace(lo, hi, n):
     assert got.tobytes() == expected.tobytes()  # signed zeros, and NaN where the range overflows
 
 
-def test_quad_breakpoint_resolves_kink():
-    # E[min(T, c)] against scipy on the two sides of the kink; without the
-    # breakpoint the smooth rule misses it at the 1e-5 level.
-    spec = spec_of(0.2, 1.0, 5.0)
-    c = 2.7
-    left, _ = quad(lambda th: th * on_time_density(spec, th), 0.0, c, epsabs=1e-14, epsrel=1e-13)
-    right, _ = quad(lambda th: on_time_density(spec, th), c, 5.0, epsabs=1e-14, epsrel=1e-13)
-    capped = lambda th: np.minimum(th, c)
-    assert density_quad(spec, capped, [c]) == pytest.approx(left + c * right, rel=1e-12)
-    assert density_quad(spec, capped) != pytest.approx(left + c * right, rel=1e-9)
-
-
 # --- curves -----------------------------------------------------------------
 
 
