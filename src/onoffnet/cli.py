@@ -57,9 +57,6 @@ from .scenario import ConfigError, aggregate_metrics, load_scenario_config, run_
 
 _DEFAULT_VALIDATE_SETS = ((1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0))
 
-# validate compares the exact law with the closed form over horizon/4096 cells.
-_LAW_CELLS = 4096
-
 # Figure-grade curves need enough resolution to be judged by shape.
 _MIN_CURVE_POINTS = 100
 
@@ -108,6 +105,8 @@ def cmd_density(args: argparse.Namespace) -> None:
         if args.lam is not None or args.mu is not None:
             raise ValueError("give either --x or --lambda/--mu, not both")
         xs = [float(tok) for tok in args.x.split(",")]
+        if not all(map(math.isfinite, xs)):
+            raise ValueError(f"--x values must be finite, got {args.x!r}")
         specs = [_spec_for_gap(x, args.horizon) for x in xs]
         header = [
             f"# horizon={args.horizon!r} points={args.points} xs={','.join(repr(x) for x in xs)}",
@@ -134,6 +133,8 @@ def cmd_mean_curve(args: argparse.Namespace) -> None:
         raise ValueError(f"--points must be >= {_MIN_CURVE_POINTS} for curve output")
     if not args.x_min < args.x_max:
         raise ValueError(f"need --x-min < --x-max, got {args.x_min} >= {args.x_max}")
+    if not math.isfinite(args.x_max - args.x_min):
+        raise ValueError(f"need a finite --x-max - --x-min, got {args.x_max!r} - {args.x_min!r}")
     xs = _uniform_grid(args.x_min, args.x_max, args.points)
     lines = [
         _tool_header("mean-curve"),
@@ -239,8 +240,8 @@ def cmd_validate(args: argparse.Namespace) -> None:
         spec = OccupancySpec(OnOffParams(lam, mu), horizon)
         closed = mean_on_time(spec)
         quad_mean = quad(spec, lambda theta: theta)
-        law_on = exact_occupation_distribution(spec, horizon / _LAW_CELLS, NodeState.ON)
-        law_off = exact_occupation_distribution(spec, horizon / _LAW_CELLS, NodeState.OFF)
+        law_on = exact_occupation_distribution(spec, NodeState.ON)
+        law_off = exact_occupation_distribution(spec, NodeState.OFF)
         on_times = monte_carlo_on_times(
             spec.params, NodeState.ON, horizon, args.replications, args.seed + index
         )

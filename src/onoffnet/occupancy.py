@@ -74,6 +74,9 @@ _EXP_OVERFLOW = 700.0
 _MAX_TERMS = 10_000
 _BLOCK_ELEMENTS = 1 << 14
 
+# validate compares the exact law with the closed form over horizon/4096 cells.
+_LAW_CELLS = 4096
+
 
 class _SpecFields(NamedTuple):
     params: OnOffParams
@@ -249,30 +252,28 @@ def density_curve(spec: OccupancySpec, n_points: int) -> tuple[list[float], list
 
 
 class OccupationLaw:
-    """Exact law of the total ON time, as masses of cells of width ``step``.
+    """Exact law of the total ON time, as masses of ``_LAW_CELLS`` cells.
 
     ``pmf[k]`` is the probability that the total ON time lies in the cell
-    ``[edges[k], edges[k+1]]`` around ``on_times[k] = k*step``, where
-    ``edges = [0, step/2, 3*step/2, ..., t - step/2, t]``.  The end cells
-    carry the never-switching atoms ``atom_zero`` (all OFF) and ``atom_full``
-    (all ON), which exist in the true law but not in the continuous closed
-    form.  ``mean`` and the atoms are exact, not read off the cells.  Laws
-    compare by identity.
+    ``[edges[k], edges[k+1]]`` around ``on_times[k] = k*h``, where
+    ``h = t/_LAW_CELLS`` and ``edges = [0, h/2, 3*h/2, ..., t - h/2, t]``.
+    The end cells carry the never-switching atoms ``atom_zero`` (all OFF)
+    and ``atom_full`` (all ON), which exist in the true law but not in the
+    continuous closed form.  ``mean`` and the atoms are exact, not read off
+    the cells.  Laws compare by identity.
     """
 
-    __slots__ = ("spec", "step", "initial", "on_times", "edges", "pmf")
+    __slots__ = ("spec", "initial", "on_times", "edges", "pmf")
 
     def __init__(
         self,
         spec: OccupancySpec,
-        step: float,
         initial: NodeState,
         on_times: np.ndarray,
         edges: np.ndarray,
         pmf: np.ndarray,
     ) -> None:
         self.spec = spec
-        self.step = step
         self.initial = initial
         self.on_times = on_times
         self.edges = edges
@@ -292,15 +293,6 @@ class OccupationLaw:
     @property
     def atom_full(self) -> float:
         return math.exp(-self.spec.params.lam * self.spec.horizon) if self.initial is NodeState.ON else 0.0
-
-    def bin_masses(self, edges: np.ndarray) -> np.ndarray:
-        """Exact masses of the bins between increasing ``edges``, each a cell edge."""
-        import numpy as np
-        edges = np.asarray(edges, dtype=float)
-        index = np.minimum(np.searchsorted(self.edges, edges), self.edges.size - 1)
-        if not (np.array_equal(self.edges[index], edges) and np.all(np.diff(index) > 0)):
-            raise ValueError("bin edges must be increasing cell edges of the law (OccupationLaw.edges)")
-        return np.diff(np.concatenate([[0.0], np.cumsum(self.pmf)])[index])
 
 
 def _on_start_mean(lam: float, mu: float, t: float) -> float:
@@ -357,12 +349,8 @@ def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np
     return out
 
 
-def exact_occupation_distribution(
-    spec: OccupancySpec,
-    step: float,
-    initial: NodeState = NodeState.ON,
-) -> OccupationLaw:
-    """Exact occupation-time law (Pedler 1971) on cells of width about ``step``.
+def exact_occupation_distribution(spec: OccupancySpec, initial: NodeState) -> OccupationLaw:
+    """Exact occupation-time law (Pedler 1971) on ``_LAW_CELLS`` cells of ``[0, t]``.
 
     From an ON start, ``T`` has the atom ``e^{-lam*t}`` at ``t`` and the
     density of :func:`_on_start_density` on ``(0, t)``; from an OFF start it
@@ -375,17 +363,18 @@ def exact_occupation_distribution(
     """
     import numpy as np
     t = spec.horizon
-    if not (0.0 < step <= t / 100.0):
-        raise ValueError(f"step must satisfy 0 < step <= horizon/100, got {step!r}")
-    n = int(round(t / step))
+    n = _LAW_CELLS
     h = t / n
+    if h * n != t:  # a subnormal t/n is rounded, and its cells would not tile [0, t]
+        raise ValueError(f"horizon {t!r} is too small to cut into {n} exact cells")
     lam, mu = spec.params.lam, spec.params.mu
     if initial is NodeState.OFF:
         lam, mu = mu, lam
+    cell_edges = np.concatenate([[0.0], (np.arange(n) + 0.5) * h, [t]])
     # Cells of the half window [0, t/2]; the other half is their mirror image,
     # so every node is held as its distance to the nearer end of the window
     # and neither s nor t - s loses digits to a subtraction.
-    edges = np.concatenate([[0.0], (np.arange(n // 2) + 0.5) * h, [t / 2.0]])
+    edges = np.append(cell_edges[:n // 2 + 1], t / 2.0)
     rate = max(lam, mu)
     panels = sorted_distinct(edges, doubling_edges(1.0 / rate, t / 2.0)) if rate * t > 1.0 else edges
     near, weight = _panel_rule(panels, 12)
@@ -400,8 +389,7 @@ def exact_occupation_distribution(
     total = float(pmf.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"occupation law lost probability mass: sum={total!r}")
-    cell_edges = np.concatenate([[0.0], (np.arange(n) + 0.5) * h, [t]])
-    return OccupationLaw(spec, h, initial, np.linspace(0.0, t, n + 1), cell_edges, pmf)
+    return OccupationLaw(spec, initial, np.linspace(0.0, t, n + 1), cell_edges, pmf)
 
 
 def closed_form_gap(law: OccupationLaw) -> float:

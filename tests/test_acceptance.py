@@ -27,7 +27,7 @@ from onoffnet.occupancy import (
 from onoffnet.routing import HelloCodec, collision_probability, decode_energy, encode_delay, select_route
 from onoffnet.scenario import load_scenario_config, run_scenario
 
-from test_occupancy import equiprobable_edges
+from test_occupancy import equiprobable_bins
 from test_routing import brute_force_route, known_from_energies, random_instance
 
 DIAMOND = Path(__file__).resolve().parents[1] / "configs" / "diamond.cfg"
@@ -132,13 +132,13 @@ def test_criterion_5_oracle_triangulation():
     gaps = []
     for index, (lam, mu, t) in enumerate([(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0)]):
         spec = OccupancySpec(OnOffParams(lam, mu), t)
-        law = exact_occupation_distribution(spec, t / 4096, NodeState.ON)
+        law = exact_occupation_distribution(spec, NodeState.ON)
         samples = monte_carlo_on_times(spec.params, NodeState.ON, t, 100_000, 1000 + index)
         stderr = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - law.mean) <= 3.0 * stderr
-        edges = equiprobable_edges(law, 15)
+        edges, masses = equiprobable_bins(law, 15)
         observed, _ = np.histogram(samples, bins=edges)
-        expected = law.bin_masses(edges) * samples.size
+        expected = masses * samples.size
         assert np.all(expected > 5.0)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         p_value = float(stats.chi2.sf(chi2, len(expected) - 1))

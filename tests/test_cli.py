@@ -323,6 +323,26 @@ def test_density_rejects_empty_x_token(tmp_path, xs):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["density", "--x", "inf"], "--x"),
+        (["density", "--x", "0.5,nan"], "--x"),
+        (["mean-curve", "--x-max", "inf"], "--x-max"),
+        (["mean-curve", "--x-min=-1e308", "--x-max", "1e308"], "--x-min"),
+    ],
+    ids=["density-inf", "density-nan", "mean-curve-inf", "mean-curve-overflowing-span"],
+)
+def test_figure_commands_refuse_non_finite_rate_gaps(tmp_path, args, flag):
+    # A rate gap that is not finite is refused under the option the user gave,
+    # not under the lambda or mu it would be turned into.
+    proc = run_cli([*args, "--horizon", "1.0", "--out", "x.csv"], tmp_path, check=False)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert flag in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- mean curve -----------------------------------------------------------------
 
 
@@ -520,6 +540,27 @@ def test_validate_report_consistency(tmp_path):
         assert row[cols["tv_start_on"]] > 0.0
     # x = 0 row: uniform closed form, mean t/2.
     assert data[1, cols["mean_closed_form"]] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_validate_math_columns_lock(tmp_path):
+    # Pins, as exact reprs, the default report's columns that are computed
+    # with math alone: the inputs, the closed-form mean, the exact law's
+    # means and its atoms.  mean_quadrature, mc_* and tv_* go through numpy's
+    # exp, whose SIMD kernel differs between hosts, so they are not pinned.
+    run_cli(["validate", "--replications", "10000", "--out", "v.csv"], tmp_path)
+    lines = [line for line in (tmp_path / "v.csv").read_text().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    names = ("lambda", "mu", "horizon", "x", "mean_closed_form", "exact_mean_start_on", "exact_mean_start_off",
+             "atom_zero_start_on", "atom_full_start_on", "atom_zero_start_off", "atom_full_start_off")
+    pinned = [[row.split(",")[header.index(name)] for name in names] for row in lines[1:]]
+    assert pinned == [
+        ["1.0", "3.0", "4.0", "2.0", "3.501342300803365", "3.0624999929665515", "2.8125000211003455",
+         "0.0", "0.01831563888873418", "6.14421235332821e-06", "0.0"],
+        ["0.2", "1.0", "5.0", "0.8", "3.8432868018188704", "4.305211284419908", "3.473943577900463",
+         "0.0", "0.36787944117144233", "0.006737946999085467", "0.0"],
+        ["0.5", "0.5", "6.0", "0.0", "3.0", "3.498760623911667", "2.501239376088333",
+         "0.0", "0.049787068367863944", "0.049787068367863944", "0.0"],
+    ]
 
 
 def test_validate_quadrature_resolves_spike_of_huge_rate_gap(tmp_path):

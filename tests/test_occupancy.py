@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from onoffnet.activity import NodeState, OnOffParams, monte_carlo_on_times
 from onoffnet.cli import main
 from onoffnet.occupancy import (
+    _LAW_CELLS,
     OccupancySpec,
     closed_form_gap,
     density_curve,
@@ -357,7 +358,7 @@ def dp_occupation_pmf(spec: OccupancySpec, step: float, initial: NodeState) -> n
     return on + off
 
 
-@pytest.mark.parametrize("slots", [1024, 4096])
+@pytest.mark.parametrize("slots", [_LAW_CELLS])  # one DP slot per cell of the law
 @pytest.mark.parametrize("initial", [NodeState.ON, NodeState.OFF], ids=["on", "off"])
 @pytest.mark.parametrize("lam,mu,t", [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0), (3.0, 3.0, 10.0)])
 def test_exact_law_matches_dp_oracle(lam, mu, t, initial, slots):
@@ -366,21 +367,27 @@ def test_exact_law_matches_dp_oracle(lam, mu, t, initial, slots):
     # step for the mean.
     spec = spec_of(lam, mu, t)
     step = t / slots
-    law = exact_occupation_distribution(spec, step, initial)
+    law = exact_occupation_distribution(spec, initial)
     dp = dp_occupation_pmf(spec, step, initial)
     assert 0.5 * float(np.abs(dp - law.pmf).sum()) <= (lam + mu) * step
     assert abs(float(np.dot(dp, law.on_times)) - law.mean) <= (lam + mu) * step
 
 
-@pytest.mark.parametrize("lam,mu,t", [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0), (3.0, 3.0, 10.0)])
-def test_exact_density_matches_bessel_form(lam, mu, t):
-    # lam e^{-a-b} I0(2 sqrt(ab)) + sqrt(lam mu s/(t-s)) e^{-a-b} I1(2 sqrt(ab)),
-    # with a = lam s and b = mu (t-s), through scipy's scaled Bessel functions.
-    s = np.linspace(0.0, t, 403)[1:-1]
+def bessel_density(lam: float, mu: float, t: float, s: np.ndarray) -> np.ndarray:
+    """The ON-start density at ``s`` in ``(0, t)`` through scipy's scaled Bessel functions.
+
+    ``lam e^{-a-b} I0(2 sqrt(ab)) + sqrt(lam mu s/(t-s)) e^{-a-b} I1(2 sqrt(ab))``,
+    with ``a = lam s`` and ``b = mu (t-s)``.
+    """
     a, b = lam * s, mu * (t - s)
     z = 2.0 * np.sqrt(a * b)
-    scale = np.exp(z - a - b)
-    bessel = scale * (lam * special.i0e(z) + np.sqrt(lam * mu * s / (t - s)) * special.i1e(z))
+    return np.exp(z - a - b) * (lam * special.i0e(z) + np.sqrt(lam * mu * s / (t - s)) * special.i1e(z))
+
+
+@pytest.mark.parametrize("lam,mu,t", [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0), (3.0, 3.0, 10.0)])
+def test_exact_density_matches_bessel_form(lam, mu, t):
+    s = np.linspace(0.0, t, 403)[1:-1]
+    bessel = bessel_density(lam, mu, t, s)
     assert _on_start_density(lam, mu, s, t - s) == pytest.approx(bessel, rel=1e-13, abs=0.0)
 
 
@@ -388,11 +395,11 @@ def test_exact_density_matches_bessel_form(lam, mu, t):
 @given(lam=st.floats(0.0, 10.0), mu=st.floats(0.0, 10.0), t=st.floats(0.1, 10.0))
 def test_exact_law_is_normalised_and_mirrors_under_rate_swap(lam, mu, t):
     spec, swapped = spec_of(lam, mu, t), spec_of(mu, lam, t)
-    on = exact_occupation_distribution(spec, t / 1024, NodeState.ON)
-    off = exact_occupation_distribution(spec, t / 1024, NodeState.OFF)
+    on = exact_occupation_distribution(spec, NodeState.ON)
+    off = exact_occupation_distribution(spec, NodeState.OFF)
     assert float(on.pmf.sum()) == pytest.approx(1.0, abs=1e-12)
     assert np.all(on.pmf >= 0.0)
-    mirror = exact_occupation_distribution(swapped, t / 1024, NodeState.ON)
+    mirror = exact_occupation_distribution(swapped, NodeState.ON)
     assert off.pmf.tolist() == mirror.pmf[::-1].tolist()
     assert off.mean == pytest.approx(t - mirror.mean, rel=1e-12, abs=1e-12 * t)
     assert (off.atom_zero, off.atom_full) == (mirror.atom_full, mirror.atom_zero)
@@ -403,58 +410,63 @@ def test_exact_law_is_normalised_and_mirrors_under_rate_swap(lam, mu, t):
 def test_exact_law_keeps_mass_at_spikes_and_large_rates(lam, mu, t, initial):
     # (0, 1e8, 100) from OFF is a spike of width 1e-8 at T = t, inside one
     # cell; (50, 80, 20) sums about 850 Poisson terms per point.
-    law = exact_occupation_distribution(spec_of(lam, mu, t), t / 4096, initial)
+    law = exact_occupation_distribution(spec_of(lam, mu, t), initial)
     assert float(law.pmf.sum()) == pytest.approx(1.0, abs=1e-12)
     assert np.all(law.pmf >= 0.0)
-    assert abs(float(np.dot(law.pmf, law.on_times)) - law.mean) <= t / 4096
+    assert abs(float(np.dot(law.pmf, law.on_times)) - law.mean) <= t / _LAW_CELLS
 
 
 @pytest.mark.parametrize("rate", [0.0, 5e-324, 1e-300])
 def test_exact_law_mean_and_atoms_at_vanishing_rates(rate):
     # Neither start state ever switches: T = t from ON, T = 0 from OFF.
     spec = spec_of(rate, rate, 2.0)
-    on = exact_occupation_distribution(spec, 2.0 / 4096, NodeState.ON)
-    off = exact_occupation_distribution(spec, 2.0 / 4096, NodeState.OFF)
+    on = exact_occupation_distribution(spec, NodeState.ON)
+    off = exact_occupation_distribution(spec, NodeState.OFF)
     assert (on.mean, on.atom_full, on.pmf[-1]) == (2.0, 1.0, 1.0)
     assert (off.mean, off.atom_zero, off.pmf[0]) == (0.0, 1.0, 1.0)
 
 
 def test_exact_law_rejects_rates_beyond_its_term_budget():
     with pytest.raises(ValueError, match="too large"):
-        exact_occupation_distribution(spec_of(200.0, 200.0, 100.0), 100.0 / 4096)
+        exact_occupation_distribution(spec_of(200.0, 200.0, 100.0), NodeState.ON)
 
 
 def test_exact_law_absorbing_on_puts_all_mass_at_horizon():
-    law = exact_occupation_distribution(spec_of(0.0, 2.0, 4.0), 0.01, NodeState.ON)
+    law = exact_occupation_distribution(spec_of(0.0, 2.0, 4.0), NodeState.ON)
     assert law.atom_full == pytest.approx(1.0, abs=1e-12)
     assert law.mean == pytest.approx(4.0, abs=1e-12)
 
 
 def test_exact_law_conserves_mass():
-    law = exact_occupation_distribution(spec_of(1.0, 3.0, 4.0), 4.0 / 4096, NodeState.ON)
+    law = exact_occupation_distribution(spec_of(1.0, 3.0, 4.0), NodeState.ON)
     assert float(law.pmf.sum()) == pytest.approx(1.0, abs=1e-9)
     assert np.all(law.pmf >= 0.0)
 
 
-def test_exact_law_rejects_coarse_step():
-    with pytest.raises(ValueError):
-        exact_occupation_distribution(spec_of(1.0, 1.0, 1.0), 0.02)
+@pytest.mark.parametrize("t", [5e-324, 1e-310, 2.0**-1015 + 2.0**-1067])
+def test_exact_law_refuses_horizons_too_small_for_exact_cells(t):
+    # Each cell edge is an exact multiple of t/4096 only where that quotient
+    # is not rounded; a power of two as small as 2**-1040 is still cut exactly.
+    with pytest.raises(ValueError, match="exact cells"):
+        exact_occupation_distribution(spec_of(1.0, 1.0, t), NodeState.ON)
+    law = exact_occupation_distribution(spec_of(1.0, 1.0, 2.0**-1040), NodeState.OFF)
+    assert law.edges[-2] == 2.0**-1040 - 2.0**-1053 and law.pmf[0] == 1.0
 
 
 def test_exact_law_atoms_match_no_switch_probabilities():
     # Mass at T=t is the probability of never leaving ON: exp(-lam*t) up to
     # the O(step) discretisation of the first switch.
     lam, t = 1.0, 4.0
-    law = exact_occupation_distribution(spec_of(lam, 3.0, t), t / 4096, NodeState.ON)
+    law = exact_occupation_distribution(spec_of(lam, 3.0, t), NodeState.ON)
     assert law.atom_zero == 0.0  # starting ON always accrues at least one slot
     assert law.atom_full == pytest.approx(math.exp(-lam * t), rel=1e-2)
-    off_law = exact_occupation_distribution(spec_of(lam, 3.0, t), t / 4096, NodeState.OFF)
+    off_law = exact_occupation_distribution(spec_of(lam, 3.0, t), NodeState.OFF)
     assert off_law.atom_zero == pytest.approx(math.exp(-3.0 * t), rel=1e-2)
 
 
 def test_exact_law_mean_matches_monte_carlo():
     spec = spec_of(1.0, 3.0, 4.0)
-    law = exact_occupation_distribution(spec, 4.0 / 4096, NodeState.ON)
+    law = exact_occupation_distribution(spec, NodeState.ON)
     samples = monte_carlo_on_times(spec.params, NodeState.ON, 4.0, 20_000, 3)
     stderr = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - law.mean) < 3.0 * stderr
@@ -464,8 +476,8 @@ def test_exact_law_differs_from_closed_form():
     # The closed form is an envelope approximation; its gap to the true law
     # is genuinely nonzero and the initial state matters.
     spec = spec_of(0.2, 1.0, 5.0)
-    law_on = exact_occupation_distribution(spec, 5.0 / 1024, NodeState.ON)
-    law_off = exact_occupation_distribution(spec, 5.0 / 1024, NodeState.OFF)
+    law_on = exact_occupation_distribution(spec, NodeState.ON)
+    law_off = exact_occupation_distribution(spec, NodeState.OFF)
     gap_on = closed_form_gap(law_on)
     gap_off = closed_form_gap(law_off)
     assert 0.0 < gap_on < 1.0
@@ -474,38 +486,37 @@ def test_exact_law_differs_from_closed_form():
 
 
 def test_law_cells_and_exact_bin_masses():
-    t = 4.0
-    law = exact_occupation_distribution(spec_of(1.0, 3.0, t), t / 400, NodeState.ON)
-    h = law.step
+    lam, mu, t = 1.0, 3.0, 4.0
+    law = exact_occupation_distribution(spec_of(lam, mu, t), NodeState.ON)
+    h = t / _LAW_CELLS
     assert law.edges[0] == 0.0 and law.edges[-1] == t
-    assert law.edges.size == law.pmf.size + 1
-    assert np.allclose(np.diff(law.edges[1:-1]), h, rtol=0.0, atol=1e-12)
-    assert np.allclose(law.edges[1:-1], law.on_times[:-1] + h / 2, rtol=0.0, atol=1e-12)
-    masses = law.bin_masses(law.edges[[0, 7, 150, -1]])
-    expected = [law.pmf[:7].sum(), law.pmf[7:150].sum(), law.pmf[150:].sum()]
-    assert masses == pytest.approx(expected, rel=0.0, abs=1e-15)
-    for bad in (law.on_times[[0, 5, -1]], [0.0, law.edges[3], t + 1.0], law.edges[[0, 3, 3, -1]],
-                law.edges[[0, 5, 3, -1]]):
-        with pytest.raises(ValueError, match="cell edges"):
-            law.bin_masses(bad)
+    assert law.edges.size == law.pmf.size + 1 == _LAW_CELLS + 2
+    assert np.all(np.diff(law.edges[1:-1]) == h)
+    assert np.all(law.edges[1:-1] == law.on_times[:-1] + h / 2)
+    # A run of cells holds the integral of the density over its span, which
+    # scipy's Bessel form gives with its own quadrature.
+    cum = np.concatenate([[0.0], np.cumsum(law.pmf)])
+    for lo, hi in [(1, 7), (7, 150), (150, _LAW_CELLS)]:
+        mass, _ = quad(lambda s: float(bessel_density(lam, mu, t, np.array([s]))[0]), law.edges[lo],
+                       law.edges[hi], epsabs=1e-14, epsrel=1e-12)
+        assert cum[hi] - cum[lo] == pytest.approx(mass, rel=1e-10, abs=1e-15)
 
 
-def equiprobable_edges(law, n_bins: int) -> np.ndarray:
-    """Cell edges over [0, horizon] that cut the exact law into ~equal-mass bins."""
-    cum = np.cumsum(law.pmf)
+def equiprobable_bins(law, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell edges over [0, horizon] that cut the exact law into ~equal-mass bins, and their masses."""
+    cum = np.concatenate([[0.0], np.cumsum(law.pmf)])
     targets = np.arange(1, n_bins) / n_bins
-    interior = law.edges[np.searchsorted(cum, targets) + 1]
-    edges = np.concatenate([law.edges[:1], interior, law.edges[-1:]])
-    return np.unique(edges)
+    index = np.unique(np.concatenate([[0], np.searchsorted(cum[1:], targets) + 1, [law.pmf.size]]))
+    return law.edges[index], np.diff(cum[index])
 
 
 def test_exact_law_agrees_with_monte_carlo_in_distribution():
     spec = spec_of(1.0, 3.0, 4.0)
-    law = exact_occupation_distribution(spec, 4.0 / 4096, NodeState.ON)
+    law = exact_occupation_distribution(spec, NodeState.ON)
     samples = monte_carlo_on_times(spec.params, NodeState.ON, 4.0, 20_000, 5)
-    edges = equiprobable_edges(law, 15)
+    edges, masses = equiprobable_bins(law, 15)
     observed, _ = np.histogram(samples, bins=edges)
-    expected = law.bin_masses(edges) * samples.size
+    expected = masses * samples.size
     assert np.all(expected > 5.0)
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     p_value = stats.chi2.sf(chi2, len(expected) - 1)

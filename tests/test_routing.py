@@ -504,5 +504,5 @@ def test_graph_and_law_compare_by_identity():
     graph = make_graph("AB", ["AB"])
     assert graph == graph and graph != make_graph("AB", ["AB"])
     spec = OccupancySpec(_PARAMS, 2.0)
-    law = exact_occupation_distribution(spec, 0.02)
-    assert law == law and law != exact_occupation_distribution(spec, 0.02)
+    law = exact_occupation_distribution(spec, NodeState.ON)
+    assert law == law and law != exact_occupation_distribution(spec, NodeState.ON)
