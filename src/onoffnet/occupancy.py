@@ -41,7 +41,12 @@ and ``pi_k(m) = exp(-m) m^k/k!``, ``T`` has the density
 
 and the atom ``exp(-lam*t)`` at ``T = t``, and mean
 ``mu t/(lam+mu) + lam (1 - exp(-(lam+mu) t))/(lam+mu)^2``; from an OFF start
-``T`` is ``t`` minus the ON-start ``T`` of the swapped rates.
+``T`` is ``t`` minus the ON-start ``T`` of the swapped rates.  The density
+is evaluated in Bessel form, ``e^{-(sqrt(a)-sqrt(b))^2} (lam i0e(z) + mu
+sqrt(a/b) i1e(z))`` with ``z = 2 sqrt(ab)``, at a cost that does not grow
+with the rates: below ``z = 20`` the scaled Bessel functions are power
+series in ``ab`` summed by Horner, from ``z = 20`` on the Hankel expansion.
+There is no term budget.
 :func:`exact_occupation_distribution` integrates it over cells of a fine
 grid, the never-switching atoms included (the continuous envelope cannot
 carry them, so they are also reported separately), and
@@ -70,9 +75,13 @@ _SERIES_LIMIT = 1e-2
 _EXP_OVERFLOW = 700.0
 
 
-# Poisson terms the exact law may sum per point, and array elements per block of that sum.
-_MAX_TERMS = 10_000
-_BLOCK_ELEMENTS = 1 << 14
+# Array elements per block of the exact density's evaluation.
+_BLOCK_ELEMENTS = 1 << 12
+
+
+# The exact density's Bessel functions are power series below this z and
+# the Hankel expansion, to 20 terms, from it on.
+_HANKEL_FROM = 20.0
 
 # validate compares the exact law with the closed form over horizon/4096 cells.
 _LAW_CELLS = 4096
@@ -226,12 +235,15 @@ def quad(spec: OccupancySpec, g) -> float:
     import numpy as np
     t, x = spec.horizon, spec.rate_gap
     rate = abs(x)
-    # Work in the depth below the peak end, so no digits go to t - depth there.
-    edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
-    depth, weight = _panel_rule(np.append(edges, t), 32)
     if rate * t < _LIMIT_EPS:
-        density = 1.0 / t
+        # The uniform limit, as the mean of g(t u) over u in [0, 1]: a 1/t
+        # would overflow for a subnormal t.
+        unit, weight = _panel_rule(np.array([0.0, 1.0]), 32)
+        depth, density = t * unit, 1.0
     else:
+        # Work in the depth below the peak end, so no digits go to t - depth there.
+        edges = doubling_edges(1.0 / rate, t) if rate * t > 1.0 else np.zeros(1)
+        depth, weight = _panel_rule(np.append(edges, t), 32)
         # rate*depth may overflow to inf, where exp() rightly gives 0.
         with np.errstate(over="ignore"):
             density = rate * np.exp(-rate * depth) / -math.expm1(-rate * t)
@@ -308,45 +320,92 @@ def _on_start_mean(lam: float, mu: float, t: float) -> float:
     return t * (mu + lam * ratio) / total
 
 
-def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Density of ``T`` at ``s`` in ``(0, t)`` from an ON start, given ``r = t - s``.
+def _scaled_bessel(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``i0e(z)`` and ``i1e(z)/sqrt(x)`` at ``z = 2 sqrt(x)``: the exponentially scaled Bessel functions.
+
+    Below ``z = 20`` they are ``e^{-z}`` times the power series
+    ``sum_j x^j/(j!)^2`` and ``sum_j x^j/(j!(j+1)!)``, summed by Horner up to
+    the first term below 1e-17 of the sum at the largest ``x`` (at most 36
+    terms).  From ``z = 20`` on they are the Hankel expansion (Abramowitz
+    and Stegun 9.7.1) to 20 terms.  Both regimes are within 3e-15 of scipy's
+    ``i0e`` and ``i1e``.
+    """
+    import numpy as np
+    i0, i1 = np.empty_like(z), np.empty_like(z)
+    series = z < _HANKEL_FROM
+    if series.any():
+        xs = x[series]
+        terms, term, total, x_max = 0, 1.0, 1.0, float(xs.max())
+        while term > 1e-17 * total:
+            terms += 1
+            term *= x_max / (terms * terms)
+            total += term
+        s0, s1 = np.zeros_like(xs), np.zeros_like(xs)
+        for j in range(terms, -1, -1):
+            square = math.factorial(j) ** 2
+            s0 *= xs
+            s0 += 1.0 / square
+            s1 *= xs
+            s1 += 1.0 / (square * (j + 1))
+        scale = np.exp(-z[series])
+        i0[series] = s0 * scale
+        i1[series] = s1 * scale
+    hankel = ~series
+    if hankel.any():
+        zs = z[hankel]
+        w = 1.0 / zs
+        h0, h1 = np.zeros_like(zs), np.zeros_like(zs)
+        for k in range(19, -1, -1):
+            # The coefficient of z^-k is prod((2i-1)^2 - 4 nu^2 for i = 1..k) / (k! 8^k).
+            scale = math.factorial(k) * 8**k
+            h0 *= w
+            h0 += math.prod((2 * i - 1) ** 2 for i in range(1, k + 1)) / scale
+            h1 *= w
+            h1 += math.prod((2 * i - 1) ** 2 - 4 for i in range(1, k + 1)) / scale
+        scale = 1.0 / np.sqrt(2.0 * math.pi * zs)
+        i0[hankel] = h0 * scale
+        i1[hankel] = h1 * (2.0 * w * scale)  # sqrt(x) = z/2
+    return i0, i1
+
+
+def _on_start_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density of ``T`` from an ON start at ``s`` and at its mirror ``r = t - s``, both in ``(0, t)``.
 
     With ``a = lam*s``, ``b = mu*r`` and ``pi_k(m) = e^{-m} m^k/k!`` it is
     ``lam sum_j pi_j(a) pi_j(b) + mu sum_j pi_{j+1}(a) pi_j(b)``: the path
     ends OFF after ``j+1`` ON sojourns, or ON after ``j+1`` OFF sojourns.
-    Each product is formed as the exponential of a sum of logs, which is at
-    most 0, so nothing overflows and no partial factor underflows; and
-    ``pi_{j+1}(a) = pi_j(a) a/(j+1)`` gives the second sum from the first.
-    Both ``s`` and ``r`` are passed so that neither is computed as a
-    difference of nearby values.  A zero rate leaves one term: ``lam e^{-a}``
-    when ``mu = 0``, and nothing when ``lam = 0``; these are taken directly,
-    so that an ``a`` or ``b`` that overflows cannot turn ``0 * inf`` into NaN.
+    In Bessel form that is ``e^{-(sqrt(a)-sqrt(b))^2} (lam i0e(z) + mu a
+    i1e(z)/sqrt(ab))`` with ``z = 2 sqrt(ab)``; the exponent is a square, so
+    no digits cancel between ``a + b`` and ``z``.  The Bessel terms depend on
+    ``s`` and ``r`` only through ``ab = lam mu s r``, so one evaluation of
+    them serves both points: at ``r`` only the exponential and ``a = lam*r``
+    differ.  Both ``s`` and ``r`` are passed so that neither is computed as
+    a difference of nearby values.  Points go in blocks of
+    ``_BLOCK_ELEMENTS``, so the temporaries stay small.  A zero rate leaves
+    one term: ``lam e^{-a}`` when ``mu = 0``, and nothing when ``lam = 0``;
+    these are taken directly, so that an ``a`` that overflows cannot turn
+    ``0 * inf`` into NaN.
     """
     import numpy as np
     if lam == 0.0:
-        return np.zeros_like(s)
+        return np.zeros_like(s), np.zeros_like(r)
     if mu == 0.0:
         with np.errstate(over="ignore"):
-            return lam * np.exp(-lam * s)
-    a, b = lam * s, mu * r
-    # The products peak at j = sqrt(a*b) with width about sqrt(sqrt(a*b)); past
-    # 8 widths, or 16 terms when the peak is small, they drop below 1e-20.
-    peak = math.sqrt(float(np.max(a * b, initial=0.0)))
-    if not peak + 8.0 * math.sqrt(peak) + 16.0 <= _MAX_TERMS:
-        raise ValueError(f"lambda*mu*horizon^2 too large for the exact law: its sums need over {_MAX_TERMS} terms")
-    terms = math.ceil(peak + 8.0 * math.sqrt(peak)) + 16
-    j = np.arange(terms)[:, None]
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(terms)])[:, None]
-    out = np.empty_like(s)
-    block = max(1, _BLOCK_ELEMENTS // terms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, s.size, block):
-            ab = slice(lo, lo + block)
-            log_ab = j * np.log(a[ab] * b[ab]) - 2.0 * log_fact
-            log_ab[0] = 0.0  # (a*b)**0 = 1, also where a*b = 0
-            products = np.exp(log_ab - a[ab] - b[ab])
-            out[ab] = lam * products.sum(axis=0) + mu * a[ab] * (products / (j + 1)).sum(axis=0)
-    return out
+            return lam * np.exp(-lam * s), lam * np.exp(-lam * r)
+    at_s, at_r = np.empty_like(s), np.empty_like(r)
+    # Where lam*s or mu*r overflows the density turns NaN, which the law's mass check refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, s.size, _BLOCK_ELEMENTS):
+            block = slice(lo, lo + _BLOCK_ELEMENTS)
+            a, b = lam * s[block], mu * r[block]
+            root_a, root_b = np.sqrt(a), np.sqrt(b)
+            i0, i1 = _scaled_bessel(2.0 * root_a * root_b, a * b)
+            i0 *= lam
+            i1 *= mu
+            at_s[block] = np.exp(-(root_a - root_b) ** 2) * (i0 + a * i1)
+            a = lam * r[block]
+            at_r[block] = np.exp(-(np.sqrt(a) - np.sqrt(mu * s[block])) ** 2) * (i0 + a * i1)
+    return at_s, at_r
 
 
 def exact_occupation_distribution(spec: OccupancySpec, initial: NodeState) -> OccupationLaw:
@@ -357,7 +416,9 @@ def exact_occupation_distribution(spec: OccupancySpec, initial: NodeState) -> Oc
     is ``t`` minus ``T`` of an ON start with the rates swapped.  Each cell
     mass is a 12-point Gauss-Legendre sum, on panels cut further at
     boundary layers of width ``1/max(lam, mu)`` at both ends of the window,
-    where the density can be a spike narrower than a cell.  Total mass is
+    where the density can be a spike narrower than a cell, and about its
+    mode where that is narrower than a cell.  Each node ``s`` of the half
+    window ``[0, t/2]`` also serves its mirror ``t - s``.  Total mass is
     checked to 1e-9.  Unlike the closed form, the law depends on the
     initial state.
     """
@@ -376,19 +437,37 @@ def exact_occupation_distribution(spec: OccupancySpec, initial: NodeState) -> Oc
     # and neither s nor t - s loses digits to a subtraction.
     edges = np.append(cell_edges[:n // 2 + 1], t / 2.0)
     rate = max(lam, mu)
-    panels = sorted_distinct(edges, doubling_edges(1.0 / rate, t / 2.0)) if rate * t > 1.0 else edges
+    cuts = [edges]
+    if rate * t > 1.0:
+        cuts.append(doubling_edges(1.0 / rate, t / 2.0))
+    # Where both rates switch within the window, the density is close to a
+    # normal law about its mode s = mu t/(lam+mu), of variance
+    # 2 lam mu t/(lam+mu)^3; once that is narrower than a cell, panels also
+    # double out from the mode.
+    if min(lam, mu) * t > 1.0:
+        rates = lam + mu
+        width = math.sqrt(2.0 * (lam / rates) * (mu / rates) * (t / rates))
+        if width < h:
+            mode, offsets = t * min(lam, mu) / rates, doubling_edges(width, t / 2.0)
+            cuts.append(np.clip(np.concatenate([mode - offsets, mode + offsets]), 0.0, t / 2.0))
+    panels = sorted_distinct(*cuts)
     near, weight = _panel_rule(panels, 12)
     cell = np.repeat(np.searchsorted(edges, panels[:-1], side="right") - 1, near.shape[1])
     near, weight = near.ravel(), weight.ravel()
-    far = t - near
-    pmf = np.bincount(cell, weight * _on_start_density(lam, mu, near, far), n + 1)
-    pmf += np.bincount(n - cell, weight * _on_start_density(lam, mu, far, near), n + 1)
+    at_near, at_far = _on_start_density(lam, mu, near, t - near)
+    at_near *= weight
+    at_far *= weight
+    pmf = np.bincount(cell, at_near, n + 1)
+    pmf += np.bincount(n - cell, at_far, n + 1)
     pmf[n] += math.exp(-lam * t)
     if initial is NodeState.OFF:
         pmf = pmf[::-1]
+    # Fails (NaN included) only where lam*t and mu*t are both beyond about 1e15: the
+    # exponent's rounding then shows at the scale of the density's width.
     total = float(pmf.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"occupation law lost probability mass: sum={total!r}")
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"occupation law lost probability mass: sum={total!r}; "
+                         "the rates times the horizon are beyond the law's floating-point resolution")
     return OccupationLaw(spec, initial, np.linspace(0.0, t, n + 1), cell_edges, pmf)
 
 

@@ -576,6 +576,20 @@ def test_validate_quadrature_resolves_spike_of_huge_rate_gap(tmp_path):
     assert row[cols["mean_quadrature"]] == pytest.approx(row[cols["mean_closed_form"]], rel=1e-6)
 
 
+def test_validate_quadrature_at_a_subnormal_horizon(tmp_path):
+    # The horizon 2**-1040 is subnormal, yet the exact law cuts it into exact
+    # cells; the quadrature's uniform density 1/t would overflow to inf.
+    run_cli(
+        ["validate", "--params", "1,1,8.487983164e-314", "--replications", "10000", "--out", "tiny.csv"],
+        tmp_path,
+    )
+    _, header, data = read_table(tmp_path / "tiny.csv")
+    cols = {name: i for i, name in enumerate(header)}
+    row = data[0]
+    assert row[cols["horizon"]] == 2.0**-1040
+    assert row[cols["mean_quadrature"]] == pytest.approx(2.0**-1041, rel=1e-9)
+
+
 def test_validate_degenerate_always_on_row(tmp_path):
     # lam=0 start-ON never switches: the exact law and Monte Carlo both put
     # all mass at T=t, and the gap to the (non-degenerate) closed form is

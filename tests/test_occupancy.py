@@ -7,10 +7,11 @@ dynamic program, against scipy's Bessel functions and against Monte Carlo.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
@@ -266,6 +267,21 @@ def test_quad_mean_matches_closed_form_up_to_huge_gaps(t, log_gap, positive):
     assert density_quad(spec, lambda th: th) == pytest.approx(mean_on_time(spec), rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [5e-324, 2.0**-1040, 1e-310])
+def test_quad_uniform_limit_at_subnormal_horizons(t):
+    # The uniform density 1/t overflows for these horizons; the limit is
+    # integrated on [0, 1] instead, so mass and mean stay finite.
+    spec = spec_of(1.0, 1.0, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mass = density_quad(spec, np.ones_like)
+        mean = density_quad(spec, lambda th: th)
+    assert mass == pytest.approx(1.0, rel=1e-13)
+    assert 0.0 <= mean <= t
+    if t > 1e-320:  # 5e-324 has one bit: its half rounds to 0
+        assert mean == pytest.approx(t / 2.0, rel=1e-9)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     parts=st.lists(
@@ -373,22 +389,48 @@ def test_exact_law_matches_dp_oracle(lam, mu, t, initial, slots):
     assert abs(float(np.dot(dp, law.on_times)) - law.mean) <= (lam + mu) * step
 
 
-def bessel_density(lam: float, mu: float, t: float, s: np.ndarray) -> np.ndarray:
-    """The ON-start density at ``s`` in ``(0, t)`` through scipy's scaled Bessel functions.
+def bessel_density(lam: float, mu: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The ON-start density at ``s`` in ``(0, t)``, given ``r = t - s``, through scipy's scaled Bessel functions.
 
-    ``lam e^{-a-b} I0(2 sqrt(ab)) + sqrt(lam mu s/(t-s)) e^{-a-b} I1(2 sqrt(ab))``,
-    with ``a = lam s`` and ``b = mu (t-s)``.
+    ``e^{-(sqrt(a) - sqrt(b))^2} (lam i0e(z) + sqrt(lam mu s/r) i1e(z))``, with
+    ``a = lam s``, ``b = mu r`` and ``z = 2 sqrt(ab)``.  The exponent
+    ``z - a - b`` is formed as a square, as it loses every digit to
+    cancellation once ``a + b`` is large.
     """
-    a, b = lam * s, mu * (t - s)
+    a, b = lam * s, mu * r
     z = 2.0 * np.sqrt(a * b)
-    return np.exp(z - a - b) * (lam * special.i0e(z) + np.sqrt(lam * mu * s / (t - s)) * special.i1e(z))
+    return np.exp(-(np.sqrt(a) - np.sqrt(b)) ** 2) * (lam * special.i0e(z) + np.sqrt(lam * mu * s / r) * special.i1e(z))
 
 
 @pytest.mark.parametrize("lam,mu,t", [(1.0, 3.0, 4.0), (0.2, 1.0, 5.0), (0.5, 0.5, 6.0), (3.0, 3.0, 10.0)])
 def test_exact_density_matches_bessel_form(lam, mu, t):
     s = np.linspace(0.0, t, 403)[1:-1]
-    bessel = bessel_density(lam, mu, t, s)
-    assert _on_start_density(lam, mu, s, t - s) == pytest.approx(bessel, rel=1e-13, abs=0.0)
+    r = t - s
+    at_s, at_r = _on_start_density(lam, mu, s, r)
+    assert at_s == pytest.approx(bessel_density(lam, mu, s, r), rel=1e-13, abs=0.0)
+    assert at_r == pytest.approx(bessel_density(lam, mu, r, s), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.one_of(st.floats(1e-3, 40.0), st.floats(1e-3, 1e6)),
+    gap=st.floats(-25.0, 25.0),
+    s=st.floats(0.01, 100.0),
+    r=st.floats(0.01, 100.0),
+)
+@example(z=20.0, gap=0.0, s=1.0, r=1.0)
+@example(z=19.999999999999996, gap=0.0, s=1.0, r=1.0)
+@example(z=1e6, gap=-3.0, s=2.0, r=0.5)
+def test_exact_density_matches_bessel_form_in_both_regimes(z, gap, s, r):
+    # The rates put a = lam*s and b = mu*r at sqrt(a) - sqrt(b) = gap and
+    # 2 sqrt(ab) = z, on both sides of the series/Hankel switch at z = 20.
+    # Values below 1e-300 are compared absolutely: near the subnormal range
+    # they carry too few digits for a relative bound.
+    root_a = (gap + math.sqrt(gap * gap + 2.0 * z)) / 2.0
+    lam, mu = root_a**2 / s, (root_a - gap) ** 2 / r
+    at_s, at_r = _on_start_density(lam, mu, np.array([s]), np.array([r]))
+    assert at_s == pytest.approx(bessel_density(lam, mu, np.array([s]), np.array([r])), rel=1e-13, abs=1e-300)
+    assert at_r == pytest.approx(bessel_density(lam, mu, np.array([r]), np.array([s])), rel=1e-13, abs=1e-300)
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,11 +447,30 @@ def test_exact_law_is_normalised_and_mirrors_under_rate_swap(lam, mu, t):
     assert (off.atom_zero, off.atom_full) == (mirror.atom_full, mirror.atom_zero)
 
 
+RATES = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=RATES, mu=RATES, t=st.floats(0.1, 10.0))
+def test_exact_law_is_invariant_under_power_of_two_rescaling(lam, mu, t):
+    # Doubling both rates and halving the horizon scales every node and
+    # weight by a power of two and leaves a = lam*s and b = mu*(t - s) as
+    # they are, so the cell masses are bit-equal and the mean halves exactly.
+    # That holds while no product is subnormal, where scaling rounds: a rate
+    # of 1e-266 gives cell masses near 1e-312, so rates are 0 or >= 1e-3.
+    for initial in (NodeState.ON, NodeState.OFF):
+        law = exact_occupation_distribution(spec_of(lam, mu, t), initial)
+        rescaled = exact_occupation_distribution(spec_of(2.0 * lam, 2.0 * mu, t / 2.0), initial)
+        assert rescaled.pmf.tolist() == law.pmf.tolist()
+        assert rescaled.mean == law.mean / 2.0
+
+
 @pytest.mark.parametrize("initial", [NodeState.ON, NodeState.OFF], ids=["on", "off"])
 @pytest.mark.parametrize("lam,mu,t", [(0.0, 1e8, 100.0), (50.0, 80.0, 20.0)])
 def test_exact_law_keeps_mass_at_spikes_and_large_rates(lam, mu, t, initial):
     # (0, 1e8, 100) from OFF is a spike of width 1e-8 at T = t, inside one
-    # cell; (50, 80, 20) sums about 850 Poisson terms per point.
+    # cell; (50, 80, 20) reaches z = 2 sqrt(ab) = 1,265, where the density
+    # takes the Hankel expansion.
     law = exact_occupation_distribution(spec_of(lam, mu, t), initial)
     assert float(law.pmf.sum()) == pytest.approx(1.0, abs=1e-12)
     assert np.all(law.pmf >= 0.0)
@@ -426,9 +487,25 @@ def test_exact_law_mean_and_atoms_at_vanishing_rates(rate):
     assert (off.mean, off.atom_zero, off.pmf[0]) == (0.0, 1.0, 1.0)
 
 
-def test_exact_law_rejects_rates_beyond_its_term_budget():
-    with pytest.raises(ValueError, match="too large"):
-        exact_occupation_distribution(spec_of(200.0, 200.0, 100.0), NodeState.ON)
+@pytest.mark.parametrize("initial", [NodeState.ON, NodeState.OFF], ids=["on", "off"])
+@pytest.mark.parametrize("lam,mu,t", [(200.0, 200.0, 100.0), (1e7, 1e7, 100.0), (2e7, 9000.0, 1.0)])
+def test_exact_law_needs_no_term_budget(lam, mu, t, initial):
+    # At (200, 200, 100) z = 2 sqrt(ab) reaches 2e4: a Poisson-product sum
+    # needs about 10,000 terms per point there, the Bessel form at most 36.
+    # In the other two the density's mode is narrower than a cell (1.6e-3 and
+    # 6.7e-6 wide, against cells of 0.024 and 2.4e-4); without panels that
+    # double out from it their mass is off by 7e-8 and 0.23.
+    law = exact_occupation_distribution(spec_of(lam, mu, t), initial)
+    assert float(law.pmf.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(law.pmf >= 0.0)
+    assert abs(float(np.dot(law.pmf, law.on_times)) - law.mean) <= t / _LAW_CELLS
+
+
+def test_exact_law_refuses_rates_beyond_its_float_resolution():
+    # With lam*t = mu*t = 1e30 the density's width, 1/(2 sqrt(lam)) here, is
+    # below what the rounding of its exponent resolves, and the mass check fails.
+    with pytest.raises(ValueError, match="lost probability mass"):
+        exact_occupation_distribution(spec_of(1e30, 1e30, 1.0), NodeState.ON)
 
 
 def test_exact_law_absorbing_on_puts_all_mass_at_horizon():
@@ -497,7 +574,7 @@ def test_law_cells_and_exact_bin_masses():
     # scipy's Bessel form gives with its own quadrature.
     cum = np.concatenate([[0.0], np.cumsum(law.pmf)])
     for lo, hi in [(1, 7), (7, 150), (150, _LAW_CELLS)]:
-        mass, _ = quad(lambda s: float(bessel_density(lam, mu, t, np.array([s]))[0]), law.edges[lo],
+        mass, _ = quad(lambda s: float(bessel_density(lam, mu, np.array([s]), np.array([t - s]))[0]), law.edges[lo],
                        law.edges[hi], epsabs=1e-14, epsrel=1e-12)
         assert cum[hi] - cum[lo] == pytest.approx(mass, rel=1e-10, abs=1e-15)
 
